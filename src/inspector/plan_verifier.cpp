@@ -32,9 +32,11 @@ std::string PlanVerifyReport::first_error() const {
 // baseline x86-64 (no -march), which lacks even unsigned 32-bit SIMD
 // compares; target_clones emits an AVX2 clone of each sweep next to the
 // portable one and picks at load time via the glibc ifunc resolver —
-// same source, same results, no extra build flags.
+// same source, same results, no extra build flags. Not under TSan: the
+// resolver runs during relocation, before the TSan runtime is set up, and
+// its instrumented prologue crashes every binary at load.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__has_attribute)
+    defined(__has_attribute) && !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define ER_SWEEP_CLONES __attribute__((target_clones("avx2", "default")))
 #endif

@@ -19,6 +19,14 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Publishes `out`, then fires the request's completion notification — in
+/// that order, so a woken observer always finds the handle ready.
+void resolve(std::promise<JobOutcome>& promise, const JobRequest& req,
+             JobOutcome out) {
+  promise.set_value(std::move(out));
+  if (req.on_resolved) req.on_resolved();
+}
+
 }  // namespace
 
 JobScheduler::JobScheduler(Config cfg)
@@ -42,11 +50,13 @@ JobHandle JobScheduler::submit(JobRequest req) {
     out.state = JobState::Rejected;
     out.name = req.name;
     out.error = reason;
-    promise.set_value(std::move(out));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++submitted_;
-    ++rejected_;
-    if (bucket) ++*bucket;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++submitted_;
+      ++rejected_;
+      if (bucket) ++*bucket;
+    }
+    resolve(promise, req, std::move(out));
   };
 
   if (!req.dsl_source.empty()) {
@@ -185,7 +195,7 @@ void JobScheduler::abort_queued(const std::string& reason) {
     out.error = reason;
     out.queue_seconds = seconds_since(job.submitted);
     out.total_seconds = out.queue_seconds;
-    job.promise.set_value(std::move(out));
+    resolve(job.promise, job.req, std::move(out));
   }
   cv_.notify_all();
 }
@@ -227,7 +237,7 @@ void JobScheduler::worker_loop() {
           out.queue_seconds,
           job.req.deadline_seconds > 0.0 ? job.req.deadline_seconds
                                          : cfg_.default_deadline);
-      job.promise.set_value(std::move(out));
+      resolve(job.promise, job.req, std::move(out));
       continue;
     }
 
@@ -257,7 +267,11 @@ void JobScheduler::worker_loop() {
       } else {
         ++failed_;
       }
-      latencies_.push_back(out.total_seconds);
+      if (latencies_.size() < kMaxLatencySamples)
+        latencies_.push_back(out.total_seconds);
+      else
+        latencies_[latency_samples_ % kMaxLatencySamples] = out.total_seconds;
+      ++latency_samples_;
       if (!job.req.simulated) {
         if (out.cache_hit) {
           warm_setup_sum_ += out.setup_seconds;
@@ -268,7 +282,7 @@ void JobScheduler::worker_loop() {
         }
       }
     }
-    job.promise.set_value(std::move(out));
+    resolve(job.promise, job.req, std::move(out));
   }
 }
 

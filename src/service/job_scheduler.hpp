@@ -31,6 +31,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -94,6 +95,13 @@ struct JobRequest {
   /// worker. The kernel is still what executes; the source is the
   /// admission contract.
   std::string dsl_source;
+  /// Completion notification: called exactly once per submission, *after*
+  /// the handle's outcome is set (so `ready()` is already true), on
+  /// whichever thread resolved the job — the submitting thread for
+  /// admission rejects, a scheduler worker or the abort_queued caller
+  /// otherwise. Lets an event loop wake on completion instead of polling
+  /// its handles. Must be cheap and must not throw.
+  std::function<void()> on_resolved;
 };
 
 enum class JobState {
@@ -265,7 +273,12 @@ class JobScheduler {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t in_flight_ = 0;
-  std::vector<double> latencies_;  ///< total_seconds of resolved jobs
+  /// total_seconds of the most recent executed jobs: a ring of at most
+  /// kMaxLatencySamples, so stats() (run on every wire Ping) costs the
+  /// same after a billion jobs as after a thousand.
+  static constexpr std::size_t kMaxLatencySamples = 4096;
+  std::vector<double> latencies_;
+  std::uint64_t latency_samples_ = 0;  ///< latencies ever recorded
   double cold_setup_sum_ = 0.0;
   double warm_setup_sum_ = 0.0;
   std::uint64_t cold_setups_ = 0;

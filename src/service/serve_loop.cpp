@@ -21,6 +21,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// poll(2) timeout. Results wake the loop through the wake pipe, so this
+/// only paces I/O-timeout enforcement and the drain-grace check.
+constexpr int kHousekeepingTickMs = 100;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -47,8 +51,17 @@ ServeLoop::~ServeLoop() {
   if (running_.load()) request_abort();
   wait();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
+}
+
+ServeLoop::WakePipe::~WakePipe() {
+  if (rd >= 0) ::close(rd);
+  if (wr >= 0) ::close(wr);
+}
+
+void ServeLoop::WakePipe::notify() const {
+  // Non-blocking: a full pipe (EAGAIN) already guarantees a wake-up.
+  const char b = 'w';
+  (void)!::write(wr, &b, 1);
 }
 
 bool ServeLoop::start(std::string* error) {
@@ -62,10 +75,12 @@ bool ServeLoop::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  wake_rd_ = pipefd[0];
-  wake_wr_ = pipefd[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
+  auto wake = std::make_shared<WakePipe>();
+  wake->rd = pipefd[0];
+  wake->wr = pipefd[1];
+  set_nonblocking(wake->rd);
+  set_nonblocking(wake->wr);
+  wake_ = std::move(wake);
   running_.store(true);
   thread_ = std::thread([this] { run(); });
   return true;
@@ -73,19 +88,13 @@ bool ServeLoop::start(std::string* error) {
 
 void ServeLoop::request_drain() {
   drain_requested_.store(true);
-  if (wake_wr_ >= 0) {
-    const char b = 'd';
-    (void)!::write(wake_wr_, &b, 1);
-  }
+  if (wake_) wake_->notify();
 }
 
 void ServeLoop::request_abort() {
   abort_requested_.store(true);
   drain_requested_.store(true);
-  if (wake_wr_ >= 0) {
-    const char b = 'a';
-    (void)!::write(wake_wr_, &b, 1);
-  }
+  if (wake_) wake_->notify();
 }
 
 void ServeLoop::wait() {
@@ -347,9 +356,11 @@ void ServeLoop::handle_submit(Conn& c, std::uint64_t seq,
     ++stats_.parse_rejects;
     return;
   }
+  JobRequest& req = b.requests.front();
+  req.on_resolved = [wake = wake_] { wake->notify(); };
   Pending p;
   p.seq = seq;
-  p.handle = sched_.submit(std::move(b.requests.front()));
+  p.handle = sched_.submit(std::move(req));
   c.pending.push_back(std::move(p));
 }
 
@@ -493,7 +504,7 @@ void ServeLoop::run() {
 
     // ---- poll set ----------------------------------------------------
     fds.clear();
-    fds.push_back({wake_rd_, POLLIN, 0});
+    fds.push_back({wake_->rd, POLLIN, 0});
     if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
     const std::size_t conn_base = fds.size();
     for (Conn& c : conns_) {
@@ -501,21 +512,20 @@ void ServeLoop::run() {
       if (c.woff < c.wbuf.size()) events |= POLLOUT;
       fds.push_back({c.fd, events, 0});
     }
-    const bool busy = total_pending() > 0 || draining_active_;
-    const int timeout = busy ? cfg_.poll_interval_ms : 100;
-    const int rc = ::poll(fds.data(), fds.size(), timeout);
+    const std::size_t polled = fds.size() - conn_base;
+    const int rc = ::poll(fds.data(), fds.size(), kHousekeepingTickMs);
     if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
 
     if (fds[0].revents & POLLIN) {
       char buf[64];
-      while (::read(wake_rd_, buf, sizeof(buf)) > 0) {}
+      while (::read(wake_->rd, buf, sizeof(buf)) > 0) {}
     }
     if (listen_fd_ >= 0 && conn_base >= 2 && (fds[1].revents & POLLIN))
       accept_ready();
 
-    // Conns_ may shrink below; walk by index against the snapshot size.
-    const std::size_t snapshot = conns_.size();
-    for (std::size_t i = 0; i < snapshot && i < conns_.size(); ++i) {
+    // Only the connections in this round's poll set have revents; those
+    // accept_ready() just appended are polled from the next round on.
+    for (std::size_t i = 0; i < polled; ++i) {
       const short rev = fds[conn_base + i].revents;
       Conn& c = conns_[i];
       if (rev & (POLLERR | POLLHUP | POLLNVAL)) {

@@ -27,6 +27,12 @@
 //   * forced abort (request_abort, second signal): queued jobs are
 //     rejected wholesale and every connection is torn down now.
 //
+// Results are delivered the moment a job resolves: every submitted
+// request carries a JobRequest::on_resolved notification that writes one
+// byte into the loop's wake pipe, so the loop never polls handles on a
+// timer. Its poll(2) timeout is only a housekeeping tick (read / write /
+// idle timeouts and drain grace).
+//
 // Job lines arriving in Submit frames are materialized by a caller-
 // provided handler (canonically service::JobBuilder with
 // `allow_file_io = false`), so the wire path shares one hardened parser
@@ -38,6 +44,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -67,8 +74,6 @@ struct ServeConfig {
   /// Connections with nothing outstanding are closed after this (0 =
   /// keep forever).
   int idle_timeout_ms = 120000;
-  /// Poll granularity while jobs are outstanding (result reaping).
-  int poll_interval_ms = 10;
   /// Upper bound on a graceful drain before remaining connections are
   /// torn down anyway.
   double drain_grace_seconds = 30.0;
@@ -168,13 +173,26 @@ class ServeLoop {
   void close_conn(std::size_t index);
   std::size_t total_pending() const;
 
+  /// The self-pipe that interrupts poll(2). Shared with the completion
+  /// notification of every submitted job, so a job that resolves after
+  /// the loop is gone still writes into this open pipe — never into a
+  /// closed or reused fd. Both ends close with the last reference.
+  struct WakePipe {
+    int rd = -1;
+    int wr = -1;
+    WakePipe() = default;
+    WakePipe(const WakePipe&) = delete;
+    WakePipe& operator=(const WakePipe&) = delete;
+    ~WakePipe();
+    void notify() const;
+  };
+
   JobScheduler& sched_;
   SubmitHandler handler_;
   ServeConfig cfg_;
 
   int listen_fd_ = -1;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
+  std::shared_ptr<const WakePipe> wake_;
   std::uint16_t port_ = 0;
   std::thread thread_;
   std::atomic<bool> running_{false};

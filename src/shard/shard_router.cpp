@@ -123,8 +123,10 @@ void ShardRouter::accept_loop() {
       // read_some, and their loops observe the abort flag.
       abort_requested_.store(true);
       const std::lock_guard<std::mutex> lock(conns_mutex_);
-      for (auto& slot : conns_)
+      for (auto& slot : conns_) {
+        const std::lock_guard<std::mutex> fd_lock(slot->fd_mutex);
         if (slot->fd >= 0) ::shutdown(slot->fd, SHUT_RDWR);
+      }
     }
     const std::size_t live = reap_conns(aborting);
     if ((draining || aborting) && live == 0) break;
@@ -322,8 +324,11 @@ void ShardRouter::conn_loop(ConnSlot* slot) {
     }
   }
 
-  stream.close();
-  slot->fd = -1;
+  {
+    const std::lock_guard<std::mutex> fd_lock(slot->fd_mutex);
+    stream.close();
+    slot->fd = -1;
+  }
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.closed;

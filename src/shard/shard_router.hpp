@@ -119,6 +119,9 @@ class ShardRouter {
  private:
   struct ConnSlot {
     std::thread thread;
+    /// Orders the connection thread's close against an abort's
+    /// shutdown(2), so the abort never touches a closed or reused fd.
+    std::mutex fd_mutex;
     int fd = -1;
     std::atomic<bool> done{false};
   };

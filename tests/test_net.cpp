@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstring>
@@ -383,6 +385,70 @@ TEST(ServeLoop, DrainRejectsNewWorkThenExits) {
   const ServeStats stats = server.loop->stats();
   EXPECT_EQ(stats.open_connections(), 0u);
   EXPECT_GE(stats.shed_draining, 1u);
+}
+
+// Connections accepted in the same round as others are read must not be
+// confused with poll-set entries they never had: a burst of clients that
+// connect at once and submit immediately is served in full, on the first
+// attempt, and no connection is closed before the drain.
+TEST(ServeLoop, ConnectBurstIsServedWithoutClosingAnyConnection) {
+  TestServer server;
+  ASSERT_TRUE(server.start());
+
+  constexpr int kClients = 32;
+  std::vector<std::unique_ptr<net::Client>> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.push_back(
+        std::make_unique<net::Client>(client_config(server.port())));
+  std::vector<net::Client::Reply> replies(kClients);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i)
+    threads.emplace_back([&, i] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kClients) std::this_thread::yield();
+      replies[i] = clients[i]->submit(kSmallJob);
+    });
+  for (std::thread& t : threads) t.join();
+
+  for (const net::Client::Reply& r : replies) {
+    ASSERT_TRUE(r.ok()) << r.code << ": " << r.detail;
+    EXPECT_EQ(static_cast<JobState>(r.result.state), JobState::Done);
+    EXPECT_EQ(r.attempts, 1u) << "a condemned connection forced a retry";
+  }
+  const ServeStats live = server.loop->stats();
+  EXPECT_EQ(live.accepted, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(live.closed, 0u);
+  EXPECT_EQ(live.results_sent, static_cast<std::uint64_t>(kClients));
+
+  server.drain();
+  EXPECT_EQ(server.loop->stats().open_connections(), 0u);
+}
+
+// A resolving job wakes the loop: a round trip costs the job plus the
+// wire, never a wait for a timed result-reaping poll.
+TEST(ServeLoop, RoundTripIsNotBoundByAPollTick) {
+#ifdef EARTHRED_SANITIZED
+  GTEST_SKIP() << "wall-clock bound; sanitized builds are too slow";
+#endif
+  TestServer server;
+  ASSERT_TRUE(server.start());
+
+  net::Client client(client_config(server.port()));
+  std::vector<double> ms;
+  for (int i = 0; i < 50; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const net::Client::Reply r = client.submit(kSmallJob);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    ASSERT_TRUE(r.ok()) << r.code << ": " << r.detail;
+  }
+  std::nth_element(ms.begin(), ms.begin() + 25, ms.end());
+  EXPECT_LT(ms[25], 5.0) << "median round trip in ms";
+
+  server.drain();
+  EXPECT_EQ(server.loop->stats().closed, 1u);
 }
 
 // ---- the retry / breaker client ----------------------------------------

@@ -5,6 +5,7 @@
 // error. Also validates the committed corruption corpus under
 // examples/plans/bad/.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cstddef>
@@ -40,11 +41,14 @@ core::PlanOptions plan_opts(std::uint32_t P = 4, std::uint32_t k = 2) {
   return opt;
 }
 
-/// Scratch store directory, removed on destruction.
+/// Scratch store directory, removed on destruction. Named per process:
+/// `ctest -j` runs each test case as its own process, concurrently.
 struct ScratchStore {
   std::string dir;
   ScratchStore()
-      : dir((fs::temp_directory_path() / "earthred-test-planstore").string()) {
+      : dir((fs::temp_directory_path() /
+             ("earthred-test-planstore-" + std::to_string(::getpid())))
+                .string()) {
     fs::remove_all(dir);
   }
   ~ScratchStore() { fs::remove_all(dir); }

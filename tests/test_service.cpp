@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -507,6 +509,151 @@ TEST(JobSchedulerDrain, AbortQueuedResolvesEveryHandleWithReason) {
   EXPECT_EQ(blocker_handle.wait().state, JobState::Done)
       << blocker_handle.wait().error;
   EXPECT_EQ(sched.stats().pending(), 0u);
+}
+
+// --- completion notification (JobRequest::on_resolved) ------------------
+
+/// Observes one request's completion notification: counts the calls and
+/// checks, at each, that the handle is already ready. The submitting
+/// thread holds `mutex` across submit() and the handle's publication, so
+/// a worker's notification cannot look before the handle exists. An
+/// admission reject notifies inside submit() on that same thread (hence
+/// the recursive mutex), before any handle exists to look at.
+struct ResolveProbe {
+  std::recursive_mutex mutex;
+  std::optional<JobHandle> handle;
+  int calls = 0;
+  int ready_calls = 0;   ///< calls that found the handle ready
+  int inline_calls = 0;  ///< calls from inside submit()
+
+  const JobHandle& submit(JobScheduler& sched, JobRequest req) {
+    req.on_resolved = [this] {
+      const std::lock_guard<std::recursive_mutex> lock(mutex);
+      ++calls;
+      if (!handle)
+        ++inline_calls;
+      else if (handle->ready())
+        ++ready_calls;
+    };
+    const std::lock_guard<std::recursive_mutex> lock(mutex);
+    handle = sched.submit(std::move(req));
+    return *handle;
+  }
+};
+
+JobRequest small_job(const std::string& name, double deadline = 0.0) {
+  JobRequest req;
+  req.kernel = std::make_shared<kernels::Fig1Kernel>(
+      kernels::Fig1Kernel::with_integer_values(
+          mesh::make_geometric_mesh({100, 500, 14})));
+  req.name = name;
+  req.plan = plan_opts(2, 2);
+  req.deadline_seconds = deadline;
+  return req;
+}
+
+/// Submits a long job to the scheduler's single worker and returns once
+/// it is running, so whatever is submitted next stays queued.
+void occupy_worker(JobScheduler& sched, ResolveProbe& probe) {
+  JobRequest blocker;
+  blocker.kernel = std::make_shared<kernels::EulerKernel>(
+      mesh::make_geometric_mesh({2000, 12000, 8}));
+  blocker.name = "blocker";
+  blocker.plan = plan_opts(4, 2);
+  blocker.sweeps = 4000;
+  blocker.deadline_seconds = 60.0;
+  probe.submit(sched, std::move(blocker));
+  for (int i = 0; i < 500 && sched.stats().in_flight == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(sched.stats().in_flight, 1u);
+}
+
+JobScheduler::Config one_worker() {
+  JobScheduler::Config cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 16;
+  return cfg;
+}
+
+TEST(JobSchedulerNotify, AdmissionRejectNotifiesOnceInsideSubmit) {
+  JobScheduler sched;
+  ResolveProbe null_kernel;
+  const JobHandle& h = null_kernel.submit(sched, JobRequest{});
+  EXPECT_TRUE(h.ready());
+  EXPECT_EQ(h.wait().state, JobState::Rejected);
+  EXPECT_EQ(null_kernel.calls, 1);
+  EXPECT_EQ(null_kernel.inline_calls, 1);
+
+  sched.begin_drain();
+  ResolveProbe draining;
+  EXPECT_EQ(draining.submit(sched, small_job("late")).wait().state,
+            JobState::Rejected);
+  sched.drain();
+  EXPECT_EQ(draining.calls, 1);
+  EXPECT_EQ(draining.inline_calls, 1);
+}
+
+TEST(JobSchedulerNotify, WorkerOutcomesNotifyOnceAfterTheHandleIsReady) {
+  ResolveProbe done, failed;
+  JobScheduler sched(one_worker());
+  EXPECT_EQ(done.submit(sched, small_job("done")).wait().state,
+            JobState::Done);
+  // The lost-forward hook stalls the phased ring; the deadline fails it.
+  JobRequest stall = small_job("failed", 0.3);
+  stall.plan.strategy = core::StrategyKind::Phased;
+  stall.lose_forward = {true, 0, 0, 0};
+  EXPECT_EQ(failed.submit(sched, std::move(stall)).wait().state,
+            JobState::Failed);
+  // The notification follows set_value; joining the worker makes the
+  // counts final.
+  sched.drain();
+  for (const ResolveProbe* p : {&done, &failed}) {
+    EXPECT_EQ(p->calls, 1);
+    EXPECT_EQ(p->ready_calls, 1);
+  }
+}
+
+TEST(JobSchedulerNotify, DrainDeadlineExpiryNotifiesOnce) {
+  ResolveProbe blocker;
+  std::vector<std::unique_ptr<ResolveProbe>> expired;
+  JobScheduler sched(one_worker());
+  occupy_worker(sched, blocker);
+  for (int j = 0; j < 3; ++j) {
+    expired.push_back(std::make_unique<ResolveProbe>());
+    expired.back()->submit(sched,
+                           small_job("expired" + std::to_string(j), 0.001));
+  }
+  sched.drain();
+  EXPECT_EQ(blocker.handle->wait().state, JobState::Done);
+  EXPECT_EQ(blocker.ready_calls, 1);
+  for (const auto& p : expired) {
+    EXPECT_EQ(p->handle->wait().state, JobState::Rejected);
+    EXPECT_NE(p->handle->wait().error.find("E-SVC-DEADLINE"),
+              std::string::npos);
+    EXPECT_EQ(p->calls, 1);
+    EXPECT_EQ(p->ready_calls, 1);
+  }
+}
+
+TEST(JobSchedulerNotify, AbortQueuedNotifiesOnce) {
+  ResolveProbe blocker;
+  std::vector<std::unique_ptr<ResolveProbe>> queued;
+  JobScheduler sched(one_worker());
+  occupy_worker(sched, blocker);
+  for (int j = 0; j < 5; ++j) {
+    queued.push_back(std::make_unique<ResolveProbe>());
+    queued.back()->submit(sched, small_job("queued" + std::to_string(j)));
+  }
+  // abort_queued notifies on this thread before returning.
+  sched.abort_queued("forced shutdown (test)");
+  for (const auto& p : queued) {
+    EXPECT_EQ(p->handle->wait().state, JobState::Rejected);
+    EXPECT_EQ(p->calls, 1);
+    EXPECT_EQ(p->ready_calls, 1);
+  }
+  sched.drain();
+  EXPECT_EQ(blocker.calls, 1);
+  EXPECT_EQ(blocker.ready_calls, 1);
 }
 
 }  // namespace
