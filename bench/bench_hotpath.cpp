@@ -23,30 +23,13 @@
 // of cold plan-build time — that is what lets CI leave it on for every
 // Debug build. The pass must also come back clean on the built plan.
 //
-// Part 1b (compute backends): reruns the batched path once per compute
-// backend (scalar baseline, then every SIMD tier the host supports) on
-// the same plans. Every tier must agree bit-for-bit with scalar — that
-// is the layer's acceptance bar — and in full mode the best SIMD tier
-// must stay within 25% of scalar (>= 0.75x), which catches a broken
-// dispatch path or a pathological tier without pretending these
-// gather/scatter-bound kernels vectorize. (Measured across L1-, L2- and
-// DRAM-resident meshes and several strategies — staged hardware
-// gathers, manual packed loads, AVX-512CD conflict-detected scatter,
-// software prefetch — bit-identical SIMD lands at 0.7-1.05x of the
-// scalar loop on wide OOO x86: the ordered reduction scatter must stay
-// scalar, and scalar loads already saturate the load ports that
-// hardware gathers contend for. The speedup column is reported, not
-// wished for.) --backend-json=<path> appends the comparison as a JSONL
-// record (BENCH_backend.json in the repo).
-//
 // Part 1c (lowering strategies): reruns the batched path once per
-// lowering strategy (phased rotation, privatized replicas, and the
-// atomic CAS scatter where the host supports it) on per-strategy plans
-// (the strategy is a plan knob — it forks the plan key). Privatized must
-// agree with phased bit-for-bit on the integer-valued fig1 kernel (exact
-// sums commute) and to 1e-9 relative tolerance on the FP kernels (the
-// two strategies legally differ in summation association); atomic is
-// tolerance-only by contract. In full mode the cost model's Auto pick
+// lowering strategy (phased rotation and privatized replicas) on
+// per-strategy plans (the strategy is a plan knob — it forks the plan
+// key). Privatized must agree with phased bit-for-bit on the
+// integer-valued fig1 kernel (exact sums commute) and to 1e-9 relative
+// tolerance on the FP kernels (the two strategies legally differ in
+// summation association). In full mode the cost model's Auto pick
 // must land within 10% of the best measured strategy (>= 0.9x) on every
 // bench mesh — the gate that keeps the model honest against the
 // hardware. --strategy-json=<path> appends the comparison as a JSONL
@@ -64,11 +47,10 @@
 // (BENCH_layout.json in the repo).
 //
 // Exit code: 0 when every kernel's executors agree bit-identically AND
-// every backend agrees with scalar AND every strategy agrees within its
-// contract AND the layout=auto results are bit-identical to layout=none
-// AND (full mode only) the best batched speedup reaches 2x on
-// euler or moldyn AND (full mode only) the best SIMD backend stays
-// >= 0.75x of scalar AND (full mode only) the Auto strategy pick stays
+// every strategy agrees within its contract AND the layout=auto results
+// are bit-identical to layout=none AND (full mode only) the best batched
+// speedup reaches 2x on euler or moldyn AND (full mode only) the Auto
+// strategy pick stays
 // >= 0.9x of the best measured strategy AND (full mode only) the
 // layout=auto plan reaches 1.2x of layout=none on the shuffled mesh AND
 // (full mode only) the verifier overhead stays under 5%; nonzero
@@ -78,7 +60,6 @@
 //
 // Flags: --small, --procs=P (default 4), --k=K (default 2),
 //        --sweeps=S, --reps=R, --json=<path> (JSONL records),
-//        --backend-json=<path> (backend-comparison JSONL record),
 //        --strategy-json=<path> (strategy-comparison JSONL record),
 //        --layout-json=<path> (layout-comparison JSONL record).
 #include <algorithm>
@@ -93,7 +74,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/backend.hpp"
 #include "core/native_engine.hpp"
 #include "core/strategy.hpp"
 #include "support/cpu_features.hpp"
@@ -214,10 +194,9 @@ int run(const Options& opt) {
     core::PlanOptions popt;
     popt.num_procs = procs;
     popt.k = k;
-    // Parts 1 and 1b profile (and bit-identity-gate) the phased hot
-    // path; pin the strategy so EARTHRED_FORCE_STRATEGY (the CI
-    // strategy-matrix) cannot reroute them onto the tolerance-only
-    // atomic scatter. Part 1c measures the other strategies explicitly.
+    // Part 1 profiles (and bit-identity-gates) the phased hot path; pin
+    // the strategy so EARTHRED_FORCE_STRATEGY (the CI strategy-matrix)
+    // cannot reroute it. Part 1c measures the other strategy explicitly.
     popt.strategy = core::StrategyKind::Phased;
     const core::ExecutionPlan plan =
         core::build_execution_plan(*w.kernel, popt);
@@ -261,100 +240,21 @@ int run(const Options& opt) {
   }
   t.print(std::cout);
 
-  // ---- Part 1b: compute backends on the batched path ------------------
-  // Scalar-batched is the baseline; every compiled-and-supported SIMD
-  // tier runs the same plans and must agree bit-for-bit (the tiers
-  // vectorize gather + arithmetic but keep scatter accumulation order).
-  std::vector<core::BackendKind> simd_kinds;
-  for (const core::BackendKind kind :
-       {core::BackendKind::Avx2, core::BackendKind::Avx512})
-    if (core::backend_supported(kind)) simd_kinds.push_back(kind);
-
-  Table bt1("compute backends: scalar vs SIMD batched path (cpu: " +
-            support::to_string(support::host_cpu_features()) + ")");
-  bt1.set_header({"kernel", "scalar Medges/s", "avx2", "avx512",
-                  "best speedup", "bit-identical"});
-  bool backend_identical = true;
-  double best_backend_speedup = 0.0;
-  std::vector<std::string> backend_json;
-  for (const Workload& w : workloads) {
-    core::PlanOptions bpopt;
-    bpopt.num_procs = procs;
-    bpopt.k = k;
-    bpopt.strategy = core::StrategyKind::Phased;  // see Part 1 comment
-    const core::ExecutionPlan plan =
-        core::build_execution_plan(*w.kernel, bpopt);
-    core::SweepOptions sopt;
-    sopt.sweeps = sweeps;
-    sopt.batch = true;
-
-    sopt.backend = core::BackendKind::Scalar;
-    core::NativeResult scalar_res;
-    const double scalar_s =
-        best_run(*w.kernel, plan, sopt, reps, &scalar_res);
-    const double total_edges =
-        static_cast<double>(w.num_edges) * static_cast<double>(sweeps);
-
-    double avx2_s = 0.0, avx512_s = 0.0;
-    bool identical = true;
-    double best_kernel_speedup = 0.0;
-    for (const core::BackendKind kind : simd_kinds) {
-      sopt.backend = kind;
-      core::NativeResult res;
-      const double s = best_run(*w.kernel, plan, sopt, reps, &res);
-      identical = identical && same_arrays(res.reduction,
-                                           scalar_res.reduction) &&
-                  same_arrays(res.node_read, scalar_res.node_read);
-      (kind == core::BackendKind::Avx2 ? avx2_s : avx512_s) = s;
-      if (s > 0.0)
-        best_kernel_speedup = std::max(best_kernel_speedup, scalar_s / s);
-    }
-    backend_identical = backend_identical && identical;
-    best_backend_speedup =
-        std::max(best_backend_speedup, best_kernel_speedup);
-
-    const auto spd = [&](double s) {
-      return s > 0.0 ? fmt_f(scalar_s / s, 2) + "x" : std::string("-");
-    };
-    bt1.add_row({w.name,
-                 fmt_f(scalar_s > 0 ? total_edges / scalar_s / 1e6 : 0.0, 2),
-                 spd(avx2_s), spd(avx512_s),
-                 fmt_f(best_kernel_speedup, 2) + "x",
-                 identical ? "yes" : "NO"});
-
-    JsonWriter jw;
-    jw.field("kernel", w.name)
-        .field("edges", w.num_edges)
-        .field("scalar_seconds", scalar_s)
-        .field("avx2_seconds", avx2_s)
-        .field("avx512_seconds", avx512_s)
-        .field("avx2_speedup", avx2_s > 0 ? scalar_s / avx2_s : 0.0)
-        .field("avx512_speedup", avx512_s > 0 ? scalar_s / avx512_s : 0.0)
-        .field("best_speedup", best_kernel_speedup)
-        .field("bit_identical", identical);
-    backend_json.push_back(jw.str());
-  }
-  bt1.print(std::cout);
-
   // ---- Part 1c: lowering strategies on the batched path ---------------
   // The strategy is a plan knob (it forks the plan key), so each strategy
   // gets its own plan build. Phased is the reference; privatized must
   // match it exactly on the integer fig1 kernel and to 1e-9 relative
-  // tolerance on the FP kernels; atomic (when the host has lock-free
-  // atomic_ref<double>) is tolerance-only by contract. The Auto pick is
+  // tolerance on the FP kernels. The Auto pick is
   // resolved through the same cost model the compiler pass and the
   // runtime use, and in full mode its measured rate must stay >= 0.9x of
   // the best measured strategy on every mesh.
-  const bool atomic_ok = core::strategy_supported(core::StrategyKind::Atomic);
-  std::vector<core::StrategyKind> strat_kinds = {
-      core::StrategyKind::Phased, core::StrategyKind::Privatized};
-  if (atomic_ok) strat_kinds.push_back(core::StrategyKind::Atomic);
+  const core::StrategyKind strat_kinds[2] = {core::StrategyKind::Phased,
+                                             core::StrategyKind::Privatized};
 
   Table st("lowering strategies: batched path per strategy (P=" +
-           std::to_string(procs) + ", k=" + std::to_string(k) +
-           ", atomic " + (atomic_ok ? "supported" : "unsupported") + ")");
-  st.set_header({"kernel", "phased Medges/s", "privatized", "atomic",
-                 "auto pick", "auto/best", "agree"});
+           std::to_string(procs) + ", k=" + std::to_string(k) + ")");
+  st.set_header({"kernel", "phased Medges/s", "privatized", "auto pick",
+                 "auto/best", "agree"});
   bool strategies_agree = true;
   double worst_auto_ratio = 1.0;
   std::vector<std::string> strategy_json;
@@ -366,9 +266,9 @@ int run(const Options& opt) {
     sopt.batch = true;
 
     core::NativeResult phased_res;
-    double rate[3] = {0.0, 0.0, 0.0};
+    double rate[2] = {0.0, 0.0};
     bool agree = true;
-    for (std::size_t i = 0; i < strat_kinds.size(); ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       core::PlanOptions spopt;
       spopt.num_procs = procs;
       spopt.k = k;
@@ -382,10 +282,8 @@ int run(const Options& opt) {
         phased_res = std::move(res);
         continue;
       }
-      const bool exact_required =
-          w.exact_sums && strat_kinds[i] == core::StrategyKind::Privatized;
       const bool match =
-          exact_required
+          w.exact_sums
               ? same_arrays(res.reduction, phased_res.reduction) &&
                     same_arrays(res.node_read, phased_res.node_read)
               : near_arrays(res.reduction, phased_res.reduction, 1e-9) &&
@@ -398,7 +296,7 @@ int run(const Options& opt) {
         core::StrategyKind::Auto,
         core::strategy_inputs(w.kernel->shape(), procs, k));
     double best_rate = 0.0, auto_rate = 0.0;
-    for (std::size_t i = 0; i < strat_kinds.size(); ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       best_rate = std::max(best_rate, rate[i]);
       if (strat_kinds[i] == auto_pick) auto_rate = rate[i];
     }
@@ -406,7 +304,6 @@ int run(const Options& opt) {
     worst_auto_ratio = std::min(worst_auto_ratio, auto_ratio);
 
     st.add_row({w.name, fmt_f(rate[0] / 1e6, 2), fmt_f(rate[1] / 1e6, 2),
-                atomic_ok ? fmt_f(rate[2] / 1e6, 2) : std::string("-"),
                 std::string(core::to_string(auto_pick)),
                 fmt_f(auto_ratio, 2) + "x", agree ? "yes" : "NO"});
 
@@ -416,7 +313,6 @@ int run(const Options& opt) {
         .field("exact_sums", w.exact_sums)
         .field("phased_edges_per_s", rate[0])
         .field("privatized_edges_per_s", rate[1])
-        .field("atomic_edges_per_s", atomic_ok ? rate[2] : 0.0)
         .field("auto_pick", std::string(core::to_string(auto_pick)))
         .field("auto_over_best", auto_ratio)
         .field("agree", agree);
@@ -593,25 +489,6 @@ int run(const Options& opt) {
       small ? "(smoke mode: not gated)"
             : (speedup_ok ? "(>= 2x: PASS)" : "(< 2x: FAIL)"));
 
-  // Backend gate (full mode, SIMD-capable hosts only): bit-identity is
-  // gated always; the best SIMD tier must stay within 25% of the scalar
-  // batched loop on at least one kernel. These kernels are gather/
-  // scatter-bound with a scalar-ordered reduction scatter, so parity is
-  // the honest expectation (see the header comment) — the floor exists
-  // to catch a broken dispatch path or a pathologically slow tier, and
-  // the actual ratio is reported and recorded in the JSON.
-  const bool backend_speedup_ok =
-      small || simd_kinds.empty() || best_backend_speedup >= 0.75;
-  std::printf(
-      "SIMD backends bit-identical to scalar: %s; best SIMD speedup "
-      "%.2fx %s\n",
-      backend_identical ? "yes" : "NO", best_backend_speedup,
-      simd_kinds.empty()
-          ? "(no SIMD tier on this host: not gated)"
-          : (small ? "(smoke mode: not gated)"
-                   : (backend_speedup_ok ? "(>= 0.75x parity floor: PASS)"
-                                         : "(< 0.75x parity floor: FAIL)")));
-
   // Strategy gate: agreement (exact or tolerance per contract) is gated
   // always; the Auto pick must reach 0.9x of the best measured strategy
   // in full mode. 0.9x rather than 1.0x because the model prices memory
@@ -647,7 +524,6 @@ int run(const Options& opt) {
         .field("sweeps", static_cast<std::uint64_t>(sweeps))
         .field("reps", static_cast<std::uint64_t>(reps))
         .field("hardware_threads", static_cast<std::uint64_t>(hw))
-        .field("atomic_supported", atomic_ok)
         .raw_field("kernels", json_array(strategy_json))
         .field("agree", strategies_agree)
         .field("worst_auto_over_best", worst_auto_ratio);
@@ -684,24 +560,6 @@ int run(const Options& opt) {
                 opt.get("layout-json").c_str());
   }
 
-  if (opt.has("backend-json")) {
-    JsonWriter w;
-    w.field("bench", "backend")
-        .field("small", small)
-        .field("procs", static_cast<std::uint64_t>(procs))
-        .field("k", static_cast<std::uint64_t>(k))
-        .field("sweeps", static_cast<std::uint64_t>(sweeps))
-        .field("reps", static_cast<std::uint64_t>(reps))
-        .field("hardware_threads", static_cast<std::uint64_t>(hw))
-        .field("cpu", support::to_string(support::host_cpu_features()))
-        .raw_field("kernels", json_array(backend_json))
-        .field("bit_identical", backend_identical)
-        .field("best_simd_speedup", best_backend_speedup);
-    append_json_line(opt.get("backend-json"), w.str());
-    std::printf("appended backend JSON record to %s\n",
-                opt.get("backend-json").c_str());
-  }
-
   if (opt.has("json")) {
     JsonWriter w;
     w.field("bench", "hotpath")
@@ -723,8 +581,7 @@ int run(const Options& opt) {
     append_json_line(opt.get("json"), w.str());
     std::printf("appended JSON record to %s\n", opt.get("json").c_str());
   }
-  return all_identical && speedup_ok && verify_ok && backend_identical &&
-                 backend_speedup_ok && strategies_agree &&
+  return all_identical && speedup_ok && verify_ok && strategies_agree &&
                  strategy_auto_ok && layout_identical && layout_speedup_ok
              ? 0
              : 1;

@@ -132,17 +132,14 @@ core::StrategyInputs loop_inputs(const std::vector<ChainInfo>& chains,
   in.num_edges = ctx.mesh.bound() ? ctx.mesh.num_edges : kDefaultEdges;
   in.num_procs = ctx.num_procs == 0 ? 1 : ctx.num_procs;
   in.k = ctx.k == 0 ? 1 : ctx.k;
-  in.fanin_cv = ctx.mesh.degree_cv;
 
   std::set<std::string> refs;
   std::set<std::string> arrays;
   double fanin_sum = 0.0;
-  bool fp = false;
   for (const ChainInfo& c : chains) {
     refs.insert(c.indirections.begin(), c.indirections.end());
     arrays.insert(c.array);
     fanin_sum += c.fanin;
-    fp = fp || c.elem == ElemType::Real;
   }
   in.num_refs = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(refs.size()));
@@ -151,7 +148,6 @@ core::StrategyInputs loop_inputs(const std::vector<ChainInfo>& chains,
   in.fanin_mean = chains.empty()
                       ? 0.0
                       : fanin_sum / static_cast<double>(chains.size());
-  in.fp_accumulators = fp;
   return in;
 }
 
@@ -194,22 +190,6 @@ LoweringPlan select_strategies(const Program& program,
                                DiagnosticSink& sink) {
   LoweringPlan plan;
   plan.loops.reserve(program.loops.size());
-
-  // A forced strategy the host cannot execute is one error for the whole
-  // program (it is an environment fact, not a per-loop one).
-  bool forced_usable = true;
-  if (ctx.forced != core::StrategyKind::Auto &&
-      !core::strategy_supported(ctx.forced)) {
-    forced_usable = false;
-    const std::uint32_t line =
-        program.loops.empty() ? 1 : program.loops.front().line;
-    sink.error(line, 1, "E-STRATEGY-UNSUPPORTED",
-               strformat("strategy '%s' cannot execute on this host; "
-                         "falling back to auto selection for analysis",
-                         std::string(core::to_string(ctx.forced)).c_str()));
-  }
-  const core::StrategyKind forced =
-      forced_usable ? ctx.forced : core::StrategyKind::Auto;
 
   for (std::size_t i = 0; i < program.loops.size(); ++i) {
     const Loop& loop = program.loops[i];
@@ -259,55 +239,33 @@ LoweringPlan select_strategies(const Program& program,
       out.est_line_reuse = in.fanin_mean * line_elems;
     }
 
-    // The auto pick: cheapest eligible + supported score.
-    const core::StrategyCost* best = nullptr;
-    for (const core::StrategyCost& c : out.scores) {
-      if (!c.auto_eligible || !core::strategy_supported(c.strategy))
-        continue;
-      if (best == nullptr || c.cost_per_edge < best->cost_per_edge)
-        best = &c;
-    }
-    const core::StrategyKind chosen_auto =
-        best ? best->strategy : core::StrategyKind::Phased;
+    // The auto pick and the runner-up it beat. Scores come as {phased,
+    // privatized}; ties go to phased, as in core::choose_strategy.
+    const bool privatized_wins =
+        out.scores[1].cost_per_edge < out.scores[0].cost_per_edge;
+    const core::StrategyCost& best = out.scores[privatized_wins ? 1 : 0];
+    const core::StrategyCost& other = out.scores[privatized_wins ? 0 : 1];
 
-    if (forced != core::StrategyKind::Auto) {
-      out.chosen = forced;
+    if (ctx.forced != core::StrategyKind::Auto) {
+      out.chosen = ctx.forced;
       const core::StrategyCost& fc =
-          out.scores[static_cast<std::size_t>(forced) - 1];
+          out.scores[static_cast<std::size_t>(ctx.forced) - 1];
       out.rationale = strformat(
           "forced --strategy=%s (%.2f/edge; auto would pick %s at "
           "%.2f/edge)",
-          std::string(core::to_string(forced)).c_str(), fc.cost_per_edge,
-          std::string(core::to_string(chosen_auto)).c_str(),
-          best ? best->cost_per_edge : 0.0);
-      if (forced == core::StrategyKind::Atomic && in.fp_accumulators)
-        sink.warning(loop.line, loop.column, "W-STRATEGY-ATOMIC-FP",
-                     "forced atomic strategy reorders real-typed "
-                     "accumulations across threads; results are "
-                     "tolerance-reproducible only and excluded from "
-                     "bit-identity gates");
+          std::string(core::to_string(ctx.forced)).c_str(),
+          fc.cost_per_edge,
+          std::string(core::to_string(best.strategy)).c_str(),
+          best.cost_per_edge);
     } else {
-      out.chosen = chosen_auto;
+      out.chosen = best.strategy;
       // Name the runner-up so the choice is a comparison, not a verdict.
-      const core::StrategyCost* next = nullptr;
-      for (const core::StrategyCost& c : out.scores) {
-        if (c.strategy == out.chosen || !c.auto_eligible ||
-            !core::strategy_supported(c.strategy))
-          continue;
-        if (next == nullptr || c.cost_per_edge < next->cost_per_edge)
-          next = &c;
-      }
-      if (best && next)
-        out.rationale = strformat(
-            "auto: %s wins at %.2f/edge vs %s at %.2f/edge",
-            std::string(core::to_string(out.chosen)).c_str(),
-            best->cost_per_edge,
-            std::string(core::to_string(next->strategy)).c_str(),
-            next->cost_per_edge);
-      else
-        out.rationale = strformat(
-            "auto: %s is the only eligible strategy",
-            std::string(core::to_string(out.chosen)).c_str());
+      out.rationale = strformat(
+          "auto: %s wins at %.2f/edge vs %s at %.2f/edge",
+          std::string(core::to_string(best.strategy)).c_str(),
+          best.cost_per_edge,
+          std::string(core::to_string(other.strategy)).c_str(),
+          other.cost_per_edge);
     }
 
     if (ctx.explain) {
@@ -316,10 +274,9 @@ LoweringPlan select_strategies(const Program& program,
                   chain_note(c));
       for (const core::StrategyCost& c : out.scores)
         sink.note(loop.line, loop.column, "I-STRATEGY-COST",
-                  strformat("%s %.2f/edge: %s%s",
+                  strformat("%s %.2f/edge: %s",
                             std::string(core::to_string(c.strategy)).c_str(),
-                            c.cost_per_edge, c.rationale.c_str(),
-                            c.auto_eligible ? "" : " [opt-in]"));
+                            c.cost_per_edge, c.rationale.c_str()));
       sink.note(loop.line, loop.column, "I-STRATEGY-CHOICE",
                 strformat("lowering as %s: %s",
                           std::string(core::to_string(out.chosen)).c_str(),
@@ -353,10 +310,9 @@ std::string LoweringPlan::render() const {
     for (const ChainInfo& c : ls.chains)
       out += "  " + chain_note(c) + "\n";
     for (const core::StrategyCost& c : ls.scores)
-      out += strformat("  %-10s %8.2f/edge  %s%s\n",
+      out += strformat("  %-10s %8.2f/edge  %s\n",
                        std::string(core::to_string(c.strategy)).c_str(),
-                       c.cost_per_edge, c.rationale.c_str(),
-                       c.auto_eligible ? "" : "  [opt-in]");
+                       c.cost_per_edge, c.rationale.c_str());
   }
   return out;
 }

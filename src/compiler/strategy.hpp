@@ -9,7 +9,7 @@
 //       element type, and estimated target fan-in (updates per element,
 //       from the reference groups plus mesh connectivity stats when a
 //       mesh is bound);
-//   (b) scores the three lowering strategies through the same explainable
+//   (b) scores the two lowering strategies through the same explainable
 //       cost model the runtime uses (core/strategy.hpp), so static
 //       advice and run_native_plan's auto dispatch agree; and
 //   (c) emits a LoweringPlan plus diagnostics explaining every choice.
@@ -23,10 +23,6 @@
 //                          scattered to by several statements in one
 //                          iteration; fusing them would halve the
 //                          scatter traffic every strategy pays for
-//   W-STRATEGY-ATOMIC-FP   a *forced* atomic strategy applies to
-//                          real-typed accumulators: thread interleaving
-//                          reorders the sums, so results are
-//                          tolerance-reproducible only
 //   I-STRATEGY-CHAIN       (explain) one note per classified chain
 //   I-STRATEGY-COST        (explain) one note per scored strategy
 //   I-STRATEGY-CHOICE      (explain) the chosen strategy + rationale
@@ -69,8 +65,7 @@ struct StrategyContext {
   std::uint32_t num_procs = 4;
   std::uint32_t k = 2;
   /// Forced strategy (--strategy= / strategy= job key); Auto scores and
-  /// picks, a concrete value is honored and explained (and warned about
-  /// when it has correctness caveats, e.g. atomic on FP chains).
+  /// picks, a concrete value is honored and explained.
   core::StrategyKind forced = core::StrategyKind::Auto;
   /// Emit I-STRATEGY-* notes for every classification, score and choice.
   /// Off by default so clean sources stay diagnostic-free (the golden
@@ -99,7 +94,7 @@ struct LoopStrategy {
   std::uint32_t line = 0;  ///< source line of the loop header
   bool legal = false;      ///< illegal loops are not scored
   std::vector<ChainInfo> chains;
-  /// Phased, Privatized, Atomic — in that fixed order (core scorer).
+  /// Phased, Privatized — in that fixed order (core scorer).
   std::vector<core::StrategyCost> scores;
   core::StrategyKind chosen = core::StrategyKind::Phased;
   std::string rationale;

@@ -20,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "earth/cost.hpp"
 #include "earth/fiber.hpp"
 
@@ -68,14 +67,11 @@ struct PhaseView {
   std::span<const std::uint32_t> indir;
   std::size_t num_iters = 0;
   std::uint32_t num_refs = 0;
-  /// Resolved compute backend for this phase's batch loop (never Auto;
-  /// the executor resolves once per run). Scalar is always a safe value.
-  BackendKind backend = BackendKind::Scalar;
   /// Cache-blocking tile size in iterations from the plan's layout pass
   /// (ExecutionPlan::tile_iters). 0 = untiled: batch loops run the whole
   /// phase in one span. Tiling only changes issue distance (the next
   /// tile's gather lines are software-prefetched), never evaluation
-  /// order, so it is bit-safe under every backend.
+  /// order, so it is bit-safe under both batch-loop tiers.
   std::uint32_t tile_iters = 0;
 
   /// Contiguous redirected indices for reference slot `r`.

@@ -2,8 +2,8 @@
 
 // Locality-optimizing plan layout for irregular reductions.
 //
-// The phased kernels are gather/scatter-bound (docs/architecture.md §14:
-// wider SIMD buys ~nothing, the memory system is the wall), so the lever
+// The phased kernels are gather/scatter-bound (docs/architecture.md §4:
+// wider SIMD buys little, the memory system is the wall), so the lever
 // left is *where* the gathers and scatters land. The layout pass inside
 // build_execution_plan attacks that in three bit-safe steps:
 //
@@ -30,10 +30,10 @@
 //      batched loops software-prefetch the next tile's gather lines.
 //      Tiling never changes evaluation order, only issue distance.
 //
-// Like the lowering strategy (core/strategy.hpp) — and unlike compute
-// backends — the layout changes the *plan*, so it is a plan knob: it
-// lives in PlanOptions, forks the PlanCache key, the plan-store path, the
-// persistent plan header, and the shard content key when non-default.
+// Like the lowering strategy (core/strategy.hpp), the layout changes the
+// *plan*, so it is a plan knob: it lives in PlanOptions, forks the
+// PlanCache key, the plan-store path, the persistent plan header, and the
+// shard content key when non-default.
 // Results stay bit-identical across layouts by construction; what forks
 // is the plan bytes, never the answer.
 

@@ -168,8 +168,8 @@ std::vector<std::uint32_t> portion_preserving_perm(
 /// unchanged by construction. The chains are keyed on true (renumbered)
 /// element ids, not the redirected slots: the phased executor would stay
 /// bit-identical either way (one writer per buffer slot, folded in slot
-/// order), but the privatized and atomic executors accumulate straight
-/// into element arrays in edge order, and two iterations can share an
+/// order), but the privatized executor accumulates straight into element
+/// arrays in edge order, and two iterations can share an
 /// element while holding distinct buffer slots. `last_iter`/`last_ref`
 /// are caller-owned scratch sized num_nodes and filled with kNoIter;
 /// they are restored before returning so phases can share them.
@@ -560,8 +560,7 @@ CostTags make_cost_tags(std::uint32_t RA, std::uint32_t NA) {
 /// header comment). Deterministic; bit-identical between the batched and
 /// per-edge paths.
 NativeResult run_phased(const PhasedKernel& kernel,
-                        const ExecutionPlan& plan, const SweepOptions& opt,
-                        BackendKind backend) {
+                        const ExecutionPlan& plan, const SweepOptions& opt) {
   const KernelShape shape = kernel.shape();
   const RotationSchedule& sched = plan.sched;
   const std::uint32_t P = plan.options.num_procs;
@@ -739,7 +738,6 @@ NativeResult run_phased(const PhasedKernel& kernel,
             view.indir = phase.indir_flat;
             view.num_iters = iters;
             view.num_refs = shape.num_refs;
-            view.backend = backend;
             view.tile_iters = plan.tile_iters;
             kernel.compute_phase(ctx, tags, view, ps);
           } else {
@@ -837,7 +835,6 @@ NativeResult run_phased(const PhasedKernel& kernel,
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  result.backend = opt.batch ? backend : BackendKind::Scalar;
   return result;
 }
 
@@ -852,7 +849,7 @@ NativeResult run_phased(const PhasedKernel& kernel,
 /// thread timing, so results never depend on interleaving.
 NativeResult run_privatized(const PhasedKernel& kernel,
                             const ExecutionPlan& plan,
-                            const SweepOptions& opt, BackendKind backend) {
+                            const SweepOptions& opt) {
   const KernelShape shape = kernel.shape();
   const std::uint32_t P = plan.options.num_procs;
   const std::uint32_t kp = P * plan.options.k;
@@ -931,7 +928,6 @@ NativeResult run_privatized(const PhasedKernel& kernel,
             view.indir = flat;
             view.num_iters = iters;
             view.num_refs = R;
-            view.backend = backend;
             view.tile_iters = plan.tile_iters;
             kernel.compute_phase(ctx, tags, view, ps);
           } else {
@@ -981,117 +977,6 @@ NativeResult run_privatized(const PhasedKernel& kernel,
           .count();
   result.reduction = std::move(merged.reduction);
   result.node_read = std::move(merged.node_read);
-  result.backend = opt.batch ? backend : BackendKind::Scalar;
-  return result;
-}
-
-/// Atomic executor: workers capture each edge's contributions in a tiny
-/// per-worker scratch block (reduction arrays sized num_refs, identity
-/// redirection), then fetch_add them into the shared arrays. No
-/// replicas, no rotation — but the accumulation order depends on thread
-/// interleaving, so results are tolerance-reproducible only (the
-/// strategy is excluded from every bit-identity gate) and the batched
-/// phase loops cannot be used (contributions must be intercepted before
-/// they hit shared memory). The compute backend is therefore always
-/// reported as Scalar.
-NativeResult run_atomic(const PhasedKernel& kernel,
-                        const ExecutionPlan& plan,
-                        const SweepOptions& opt) {
-  const KernelShape shape = kernel.shape();
-  const std::uint32_t P = plan.options.num_procs;
-  const std::uint32_t kp = P * plan.options.k;
-  const std::uint32_t RA = shape.num_reduction_arrays;
-  const std::uint32_t NA = shape.num_node_read_arrays;
-  const std::uint32_t N = shape.num_nodes;
-  const std::uint32_t R = shape.num_refs;
-
-  ProcArrays global;
-  global.reduction.assign(RA, std::vector<double>(N, 0.0));
-  global.node_read.assign(NA, std::vector<double>(N, 0.0));
-  kernel.init_node_arrays(global.node_read);
-
-  // scratch[p]: reduction rows sized num_refs (slot r holds the edge's
-  // contribution through reference r); node_read is the worker's replica.
-  std::vector<ProcArrays> scratch(P);
-  const auto init_proc_state = [&](std::uint32_t p) {
-    scratch[p].reduction.assign(RA, std::vector<double>(R, 0.0));
-    scratch[p].node_read.assign(NA, std::vector<double>(N, 0.0));
-    kernel.init_node_arrays(scratch[p].node_read);
-  };
-  if (!opt.affinity.first_touch)
-    for (std::uint32_t p = 0; p < P; ++p) init_proc_state(p);
-
-  const CostTags tags = make_cost_tags(RA, NA);
-  NativeResult result;
-  const std::uint32_t sweeps = opt.sweeps;
-  std::barrier sync(static_cast<std::ptrdiff_t>(P));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(P);
-  for (std::uint32_t p = 0; p < P; ++p) {
-    threads.emplace_back([&, p] {
-      if (opt.affinity.pin_threads) pin_current_thread(p);
-      if (opt.affinity.first_touch) {
-        init_proc_state(p);
-        sync.arrive_and_wait();
-      }
-      earth::FiberContext ctx = earth::FiberContext::detached(p);
-      ProcArrays& ps = scratch[p];
-      std::vector<std::uint32_t> identity(R);
-      for (std::uint32_t r = 0; r < R; ++r) identity[r] = r;
-      const std::uint32_t lo = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * p / P);
-      const std::uint32_t hi = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * (p + 1) / P);
-
-      for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
-        for (std::uint32_t ph = 0; ph < kp; ++ph) {
-          const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
-          const std::size_t iters = phase.iter_global.size();
-          for (std::size_t j = 0; j < iters; ++j) {
-            const std::uint64_t g = phase.iter_global[j];
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::fill(ps.reduction[a].begin(), ps.reduction[a].end(),
-                        0.0);
-            kernel.compute_edge(ctx, tags, g, phase.iter_local[j],
-                                identity, ps);
-            for (std::uint32_t a = 0; a < RA; ++a) {
-              for (std::uint32_t r = 0; r < R; ++r) {
-                std::atomic_ref<double> cell(
-                    global.reduction[a][kernel.ref(r, g)]);
-                cell.fetch_add(ps.reduction[a][r],
-                               std::memory_order_relaxed);
-              }
-            }
-          }
-        }
-
-        // All scatters land before the node update reads them.
-        sync.arrive_and_wait();
-        kernel.update_nodes(ctx, tags, lo, hi, lo, global);
-        sync.arrive_and_wait();
-
-        if (sweep + 1 < sweeps) {
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::fill(global.reduction[a].begin() + lo,
-                      global.reduction[a].begin() + hi, 0.0);
-          for (std::uint32_t a = 0; a < NA; ++a)
-            std::copy(global.node_read[a].begin(),
-                      global.node_read[a].end(), ps.node_read[a].begin());
-          sync.arrive_and_wait();
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  result.reduction = std::move(global.reduction);
-  result.node_read = std::move(global.node_read);
-  result.backend = BackendKind::Scalar;
   return result;
 }
 
@@ -1111,12 +996,8 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
                        plan.shape.num_node_read_arrays,
                "execution plan was built for a differently-shaped kernel");
 
-  // Resolve the compute backend and the lowering strategy once, before
-  // any worker spawns: Auto picks via host support / the cost model, and
-  // an unsupported explicit request raises its E-* code here rather than
-  // faulting in a worker. The per-edge executors ignore the backend but
-  // still validate it.
-  const BackendKind backend = resolve_backend(opt.backend);
+  // Resolve the lowering strategy once, before any worker spawns: Auto
+  // picks through the cost model.
   const StrategyKind strategy = resolve_strategy(
       plan.options.strategy,
       strategy_inputs(shape, plan.options.num_procs, plan.options.k));
@@ -1139,14 +1020,11 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
   NativeResult result;
   switch (strategy) {
     case StrategyKind::Privatized:
-      result = run_privatized(*exec, plan, opt, backend);
-      break;
-    case StrategyKind::Atomic:
-      result = run_atomic(*exec, plan, opt);
+      result = run_privatized(*exec, plan, opt);
       break;
     case StrategyKind::Auto:  // unreachable after resolution
     case StrategyKind::Phased:
-      result = run_phased(*exec, plan, opt, backend);
+      result = run_phased(*exec, plan, opt);
       break;
   }
   result.strategy = strategy;
@@ -1169,9 +1047,10 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
 }
 
 NativeResult run_native_engine(const PhasedKernel& kernel,
-                               const NativeOptions& opt) {
-  const ExecutionPlan plan = build_execution_plan(kernel, opt.plan());
-  return run_native_plan(kernel, plan, opt.sweep());
+                               const PlanOptions& plan_opt,
+                               const SweepOptions& sweep_opt) {
+  const ExecutionPlan plan = build_execution_plan(kernel, plan_opt);
+  return run_native_plan(kernel, plan, sweep_opt);
 }
 
 }  // namespace earthred::core

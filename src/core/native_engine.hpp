@@ -69,8 +69,8 @@ struct PlanOptions {
 #endif
   /// Lowering strategy (core/strategy.hpp): Auto resolves through the
   /// cost model each time the plan runs; a concrete value forces that
-  /// executor. Strategies can change result bits, so — unlike backend or
-  /// verify — this IS part of the PlanCache key and the persisted plan
+  /// executor. Strategies can change result bits, so — unlike verify —
+  /// this IS part of the PlanCache key and the persisted plan
   /// header. Appended last so positional aggregate initializers written
   /// before the field existed stay valid.
   StrategyKind strategy = StrategyKind::Auto;
@@ -214,43 +214,6 @@ struct SweepOptions {
   /// per-edge executor.
   bool batch = true;
   AffinityOptions affinity{};
-  /// Compute backend for the batched phase loops (see core/backend.hpp).
-  /// Auto resolves to the widest tier the host supports; a concrete
-  /// request that the host cannot run raises "E-BACKEND-UNSUPPORTED".
-  /// Backends are bit-identical by contract, so this is a run knob only
-  /// — it never forks plans, caches, or shard routing.
-  BackendKind backend = BackendKind::Auto;
-};
-
-/// One-shot options: plan parameters plus run parameters (the original
-/// pre-service interface, kept for callers that don't reuse plans).
-struct NativeOptions {
-  std::uint32_t num_procs = 2;
-  std::uint32_t k = 2;
-  inspector::Distribution distribution = inspector::Distribution::Cyclic;
-  /// Chunk size when distribution == BlockCyclic.
-  std::uint32_t block_cyclic_size = 16;
-  std::uint32_t sweeps = 1;
-  inspector::LightInspectorOptions inspector{};
-  double stall_timeout = 30.0;
-  SweepOptions::LostForward lose_forward{};
-  std::uint32_t build_threads = 1;
-  bool batch = true;
-  AffinityOptions affinity{};
-  BackendKind backend = BackendKind::Auto;
-  StrategyKind strategy = StrategyKind::Auto;
-  LayoutKind layout = LayoutKind::None;
-
-  PlanOptions plan() const {
-    PlanOptions p{num_procs,         k,         distribution,
-                  block_cyclic_size, inspector, build_threads};
-    p.strategy = strategy;
-    p.layout = layout;
-    return p;
-  }
-  SweepOptions sweep() const {
-    return {sweeps, stall_timeout, lose_forward, batch, affinity, backend};
-  }
 };
 
 struct NativeResult {
@@ -260,9 +223,6 @@ struct NativeResult {
   std::vector<std::vector<double>> reduction;
   /// Final node read arrays.
   std::vector<std::vector<double>> node_read;
-  /// Concrete compute backend the batched loops ran on (Scalar when the
-  /// per-edge executor was used or no SIMD tier was available).
-  BackendKind backend = BackendKind::Scalar;
   /// Concrete lowering strategy that executed (never Auto; the executor
   /// resolves the plan's request through core/strategy.hpp).
   StrategyKind strategy = StrategyKind::Phased;
@@ -281,6 +241,7 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
 /// protocol violation that still completes surfaces as a wrong result,
 /// which the caller should check against run_sequential_kernel.
 NativeResult run_native_engine(const PhasedKernel& kernel,
-                               const NativeOptions& opt);
+                               const PlanOptions& plan_opt,
+                               const SweepOptions& sweep_opt);
 
 }  // namespace earthred::core

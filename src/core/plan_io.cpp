@@ -67,10 +67,11 @@ bool decode_header(std::span<const std::byte> bytes, PlanFileHeader* out,
   h.num_reduction_arrays = r.u32();
   h.num_node_read_arrays = r.u32();
   // The (formerly reserved) strategy field. Values above the known
-  // range are rejected like any other structural inconsistency; files
-  // from before strategies existed wrote 0 == Auto.
+  // range — including 3, the retired atomic strategy — are rejected like
+  // any other structural inconsistency; files from before strategies
+  // existed wrote 0 == Auto.
   h.strategy = r.u32();
-  if (h.strategy > static_cast<std::uint32_t>(StrategyKind::Atomic))
+  if (h.strategy > static_cast<std::uint32_t>(StrategyKind::Privatized))
     return fail("E-STORE-PARSE",
                 strformat("unknown lowering strategy %u in header",
                           h.strategy));

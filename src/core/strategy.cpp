@@ -1,6 +1,6 @@
 #include "core/strategy.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
 
 #include "core/kernel.hpp"
@@ -15,7 +15,6 @@ std::string_view to_string(StrategyKind kind) {
     case StrategyKind::Auto: return "auto";
     case StrategyKind::Phased: return "phased";
     case StrategyKind::Privatized: return "privatized";
-    case StrategyKind::Atomic: return "atomic";
   }
   return "phased";
 }
@@ -25,27 +24,10 @@ StrategyKind parse_strategy(std::string_view name) {
   if (name == "phased" || name == "rotation") return StrategyKind::Phased;
   if (name == "privatized" || name == "private")
     return StrategyKind::Privatized;
-  if (name == "atomic") return StrategyKind::Atomic;
   throw check_error(strformat(
       "E-STRATEGY-NAME: unknown strategy '%.*s' "
-      "(expected auto|phased|privatized|atomic)",
+      "(expected auto|phased|privatized)",
       static_cast<int>(name.size()), name.data()));
-}
-
-bool strategy_supported(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::Auto:
-    case StrategyKind::Phased:
-    case StrategyKind::Privatized:
-      return true;
-    case StrategyKind::Atomic:
-      // The CAS scatter needs genuinely lock-free double fetch_add; on a
-      // host where atomic_ref<double> takes a lock the strategy would be
-      // both slow and deadlock-prone inside signal contexts, so it is
-      // rejected at admission instead.
-      return std::atomic_ref<double>::is_always_lock_free;
-  }
-  return false;
 }
 
 StrategyKind effective_strategy(StrategyKind requested) {
@@ -78,21 +60,11 @@ namespace {
 // >= 0.9x the best measured strategy), not predict absolute time.
 constexpr double kCopyCost = 0.45;    ///< one double copied, per double
 constexpr double kSyncCost = 5.0;     ///< one semaphore/barrier handoff
-constexpr double kCasCost = 5.0;      ///< CAS-loop fetch_add vs plain add
-constexpr double kEdgeCallCost = 2.0; ///< per-edge virtual call + scratch
-                                      ///< zero (the atomic path cannot
-                                      ///< use the batched phase loops)
 constexpr double kOversubFactor = 100.0;  ///< a handoff between procs
                                           ///< sharing a hardware thread is
                                           ///< a scheduler round trip
                                           ///< (~10us), not a cache-line
                                           ///< ping (~100ns)
-
-double derived_fanin(const StrategyInputs& in) {
-  if (in.fanin_mean > 0.0) return in.fanin_mean;
-  return static_cast<double>(in.num_edges) * in.num_refs /
-         static_cast<double>(in.num_nodes);
-}
 
 }  // namespace
 
@@ -103,7 +75,6 @@ std::vector<StrategyCost> score_strategies(const StrategyInputs& in) {
   const double K = in.k;
   const double R = in.num_refs;
   const double RA = in.num_reduction_arrays;
-  const double fanin = derived_fanin(in);
 
   // When the plan runs more procs than the host has hardware threads,
   // every handoff parks a thread through the OS scheduler; price sync at
@@ -114,7 +85,7 @@ std::vector<StrategyCost> score_strategies(const StrategyInputs& in) {
   const char* sync_note = oversub ? ", oversubscribed host" : "";
 
   std::vector<StrategyCost> scores;
-  scores.reserve(3);
+  scores.reserve(2);
 
   // Phased: every portion (N/(k*P) elements x RA arrays) is copied
   // through the staging slot of each of the k*P phases once per sweep —
@@ -159,50 +130,23 @@ std::vector<StrategyCost> score_strategies(const StrategyInputs& in) {
     scores.push_back(std::move(c));
   }
 
-  // Atomic: no rotation and no merge, but every scatter is a CAS loop,
-  // the batched phase loops are unavailable (contributions must be
-  // captured per edge before the atomic adds), and fan-in skew means hot
-  // elements serialize on their cache line.
-  {
-    const double contention = 2.0 * in.fanin_cv;
-    StrategyCost c;
-    c.strategy = StrategyKind::Atomic;
-    c.cost_per_edge = R * (1.0 + kCasCost + contention) + kEdgeCallCost;
-    c.auto_eligible = !in.fp_accumulators;
-    c.rationale = strformat(
-        "compute %.2f x (1 + cas %.1f + contention %.2f) + per-edge "
-        "call %.1f; fan-in %.1f%s",
-        R, kCasCost, contention, kEdgeCallCost, fanin,
-        in.fp_accumulators
-            ? "; order-sensitive for real accumulators: opt-in only"
-            : "");
-    scores.push_back(std::move(c));
-  }
   return scores;
 }
 
 StrategyKind choose_strategy(const StrategyInputs& in) {
   const std::vector<StrategyCost> scores = score_strategies(in);
-  const StrategyCost* best = nullptr;
-  for (const StrategyCost& c : scores) {
-    if (!c.auto_eligible || !strategy_supported(c.strategy)) continue;
-    if (best == nullptr || c.cost_per_edge < best->cost_per_edge) best = &c;
-  }
-  return best == nullptr ? StrategyKind::Phased : best->strategy;
+  // min_element keeps the first of equal scores, so ties go to phased.
+  return std::min_element(scores.begin(), scores.end(),
+                          [](const StrategyCost& a, const StrategyCost& b) {
+                            return a.cost_per_edge < b.cost_per_edge;
+                          })
+      ->strategy;
 }
 
 StrategyKind resolve_strategy(StrategyKind requested,
                               const StrategyInputs& in) {
   const StrategyKind effective = effective_strategy(requested);
-  if (effective == StrategyKind::Auto) return choose_strategy(in);
-  if (!strategy_supported(effective)) {
-    throw check_error(strformat(
-        "E-STRATEGY-UNSUPPORTED: strategy '%.*s' is not available on this "
-        "host; use --strategy=auto for graceful fallback",
-        static_cast<int>(to_string(effective).size()),
-        to_string(effective).data()));
-  }
-  return effective;
+  return effective == StrategyKind::Auto ? choose_strategy(in) : effective;
 }
 
 std::uint64_t privatized_replica_bytes(const KernelShape& shape,

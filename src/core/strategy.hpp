@@ -15,18 +15,11 @@
 //                  result is deterministic (bit-identical across runs and
 //                  across the batch/per-edge executors, like Phased).
 //                  Costs P x num_nodes x num_arrays of replica memory.
-//   * Atomic     — workers scatter straight into shared arrays with
-//                  std::atomic_ref<double>::fetch_add (a CAS loop).
-//                  No replicas and no rotation, but the floating-point
-//                  accumulation order depends on thread interleaving, so
-//                  results are only reproducible to a tolerance. Opt-in
-//                  (never chosen by Auto for real-typed accumulators) and
-//                  excluded from every bit-identity gate.
 //
-// Unlike compute backends (core/backend.hpp), strategies CAN change result
-// bits, so the strategy is a *plan* knob: it lives in PlanOptions, enters
-// the PlanCache key and the persistent plan header, and forks shard
-// routing when forced (shard_map.cpp).
+// Unlike the batch loops' ISA tier (kernels/ops_simd.hpp), strategies CAN
+// change result bits, so the strategy is a *plan* knob: it lives in
+// PlanOptions, enters the PlanCache key and the persistent plan header,
+// and forks shard routing when forced (shard_map.cpp).
 //
 // The cost model here is deliberately small and explainable — every score
 // carries the formula it came from, so `earthred check --explain` and the
@@ -48,31 +41,27 @@ struct KernelShape;
 
 /// Stable on-disk encoding (plan_io writes the numeric value into the
 /// plan header): Auto must stay 0 so pre-strategy plan files — which
-/// wrote a zero reserved field — load as "no forced strategy".
+/// wrote a zero reserved field — load as "no forced strategy". Value 3
+/// belonged to a retired atomic-scatter strategy; plan_io rejects it.
 enum class StrategyKind : std::uint8_t {
   Auto = 0,        ///< Resolve via the cost model at plan/run time.
   Phased = 1,      ///< Rotation engine (the paper's executor).
   Privatized = 2,  ///< Per-worker replicas, fixed-order merge.
-  Atomic = 3,      ///< CAS scatter into shared arrays (order-sensitive).
 };
 
-/// "auto", "phased", "privatized", "atomic".
+/// "auto", "phased", "privatized".
 std::string_view to_string(StrategyKind kind);
 
 /// Parses a strategy name; throws `check_error` ("E-STRATEGY-NAME") on an
 /// unknown spelling.
 StrategyKind parse_strategy(std::string_view name);
 
-/// True when `kind` can execute on this host. Auto, Phased and Privatized
-/// always can; Atomic requires lock-free std::atomic_ref<double>.
-bool strategy_supported(StrategyKind kind);
-
 /// Applies the `EARTHRED_FORCE_STRATEGY` environment override: when
 /// `requested` is Auto and the variable names a concrete strategy, that
-/// strategy becomes the effective request (it must still pass
-/// `strategy_supported`). An explicit request always wins over the
-/// environment. This is how CI's strategy-matrix job forces every
-/// strategy through the whole test suite without touching each test.
+/// strategy becomes the effective request. An explicit request always
+/// wins over the environment. This is how CI's strategy-matrix job
+/// forces every strategy through the whole test suite without touching
+/// each test.
 StrategyKind effective_strategy(StrategyKind requested);
 
 /// What the cost model sees. Either filled from a concrete KernelShape
@@ -85,16 +74,10 @@ struct StrategyInputs {
   std::uint32_t num_reduction_arrays = 1;
   std::uint32_t num_procs = 1;
   std::uint32_t k = 1;
-  /// Mean scatter fan-in (updates per target element). 0 = derive from
-  /// num_edges * num_refs / num_nodes.
+  /// Mean scatter fan-in (updates per target element); 0 when unknown.
+  /// Not scored — the compiler pass derives its layout line-reuse
+  /// estimate from it.
   double fanin_mean = 0.0;
-  /// Coefficient of variation of the per-element fan-in distribution
-  /// (mesh connectivity skew); 0 when unknown. High skew means hot
-  /// elements, which penalizes the atomic strategy (CAS contention).
-  double fanin_cv = 0.0;
-  /// Real-typed accumulators: the atomic strategy reorders their sums,
-  /// so Auto never picks it and pickers must treat it as opt-in only.
-  bool fp_accumulators = true;
   /// Hardware threads backing the run. 0 = unknown / not modeled — the
   /// compiler's static pass scores for a dedicated P-thread host. When
   /// the plan oversubscribes the host (num_procs > hw_threads), a
@@ -116,28 +99,23 @@ StrategyInputs strategy_inputs(const KernelShape& shape,
                                std::uint32_t num_procs, std::uint32_t k);
 
 /// One scored strategy. `cost_per_edge` is in normalized units where 1.0
-/// is a single fused gather-accumulate; lower is better. `auto_eligible`
-/// is false for strategies Auto may not pick (atomic on FP chains) even
-/// if their score wins.
+/// is a single fused gather-accumulate; lower is better.
 struct StrategyCost {
   StrategyKind strategy = StrategyKind::Phased;
   double cost_per_edge = 0.0;
-  bool auto_eligible = true;
   /// The formula, with numbers plugged in — what --explain prints.
   std::string rationale;
 };
 
-/// Scores Phased, Privatized and Atomic (in that fixed order).
+/// Scores Phased and Privatized (in that fixed order).
 std::vector<StrategyCost> score_strategies(const StrategyInputs& in);
 
-/// Auto resolution: the cheapest auto-eligible scored strategy.
+/// Auto resolution: the cheaper scored strategy.
 StrategyKind choose_strategy(const StrategyInputs& in);
 
 /// Resolves a request to the concrete strategy that will run: Auto (after
 /// the environment override) picks via choose_strategy; a concrete
-/// request is validated. Throws `check_error` with
-/// "E-STRATEGY-UNSUPPORTED" when the requested strategy cannot run on
-/// this host.
+/// request is returned as is.
 StrategyKind resolve_strategy(StrategyKind requested,
                               const StrategyInputs& in);
 

@@ -110,22 +110,20 @@ void EulerKernel::compute_phase(earth::FiberContext& ctx,
                                 const core::PhaseView& phase,
                                 core::ProcArrays& arrays) const {
   // Same flux arithmetic as compute_edge, expression for expression, so
-  // results are bit-identical; the batch loop lives in ops_simd with one
-  // implementation per compute backend.
-  ops::euler_phase(phase.backend,
-                   ops::EulerArgs{
-                       .ia1 = phase.indir_row(0),
-                       .ia2 = phase.indir_row(1),
-                       .eg = phase.iter_global.data(),
-                       .edges = mesh_.edges.data(),
-                       .coef = coef_.data(),
-                       .vel = arrays.node_read[kVel].data(),
-                       .pre = arrays.node_read[kPre].data(),
-                       .dvel = arrays.reduction[kVel].data(),
-                       .dpre = arrays.reduction[kPre].data(),
-                       .n = phase.num_iters,
-                       .tile = phase.tile_iters,
-                   });
+  // results are bit-identical; the batch loop lives in ops_simd.
+  ops::euler_phase(ops::EulerArgs{
+      .ia1 = phase.indir_row(0),
+      .ia2 = phase.indir_row(1),
+      .eg = phase.iter_global.data(),
+      .edges = mesh_.edges.data(),
+      .coef = coef_.data(),
+      .vel = arrays.node_read[kVel].data(),
+      .pre = arrays.node_read[kPre].data(),
+      .dvel = arrays.reduction[kVel].data(),
+      .dpre = arrays.reduction[kPre].data(),
+      .n = phase.num_iters,
+      .tile = phase.tile_iters,
+  });
   ctx.charge_flops(52 * phase.num_iters);
 }
 

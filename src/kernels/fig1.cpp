@@ -59,18 +59,18 @@ void Fig1Kernel::compute_phase(earth::FiberContext& ctx,
                                const core::PhaseView& phase,
                                core::ProcArrays& arrays) const {
   // Same floating-point operations in the same order as compute_edge;
-  // the batch loop itself lives in ops_simd with one implementation per
-  // compute backend, all bit-identical.
-  ops::fig1_phase(phase.backend, ops::Fig1Args{
-                                     .ia1 = phase.indir_row(0),
-                                     .ia2 = phase.indir_row(1),
-                                     .eg = phase.iter_global.data(),
-                                     .y = y_.data(),
-                                     .c = c_,
-                                     .x = arrays.reduction[0].data(),
-                                     .n = phase.num_iters,
-                                     .tile = phase.tile_iters,
-                                 });
+  // the batch loop itself lives in ops_simd (scalar and AVX-512 tiers,
+  // both bit-identical).
+  ops::fig1_phase(ops::Fig1Args{
+      .ia1 = phase.indir_row(0),
+      .ia2 = phase.indir_row(1),
+      .eg = phase.iter_global.data(),
+      .y = y_.data(),
+      .c = c_,
+      .x = arrays.reduction[0].data(),
+      .n = phase.num_iters,
+      .tile = phase.tile_iters,
+  });
   ctx.charge_flops(3 * phase.num_iters);
 }
 

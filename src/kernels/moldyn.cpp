@@ -83,23 +83,21 @@ void MoldynKernel::compute_phase(earth::FiberContext& ctx,
                                  const core::PhaseView& phase,
                                  core::ProcArrays& arrays) const {
   // Mirrors compute_edge's LJ evaluation exactly (same operations, same
-  // order → bit-identical forces); the batch loop lives in ops_simd with
-  // one implementation per compute backend.
-  ops::moldyn_phase(phase.backend,
-                    ops::MoldynArgs{
-                        .ia1 = phase.indir_row(0),
-                        .ia2 = phase.indir_row(1),
-                        .eg = phase.iter_global.data(),
-                        .edges = mesh_.edges.data(),
-                        .px = arrays.node_read[0].data(),
-                        .py = arrays.node_read[1].data(),
-                        .pz = arrays.node_read[2].data(),
-                        .fx = arrays.reduction[0].data(),
-                        .fy = arrays.reduction[1].data(),
-                        .fz = arrays.reduction[2].data(),
-                        .n = phase.num_iters,
-                        .tile = phase.tile_iters,
-                    });
+  // order → bit-identical forces); the batch loop lives in ops_simd.
+  ops::moldyn_phase(ops::MoldynArgs{
+      .ia1 = phase.indir_row(0),
+      .ia2 = phase.indir_row(1),
+      .eg = phase.iter_global.data(),
+      .edges = mesh_.edges.data(),
+      .px = arrays.node_read[0].data(),
+      .py = arrays.node_read[1].data(),
+      .pz = arrays.node_read[2].data(),
+      .fx = arrays.reduction[0].data(),
+      .fy = arrays.reduction[1].data(),
+      .fz = arrays.reduction[2].data(),
+      .n = phase.num_iters,
+      .tile = phase.tile_iters,
+  });
   ctx.charge_flops(49 * phase.num_iters);
 }
 

@@ -1,28 +1,29 @@
 #pragma once
 
-// Per-kernel backend ops for the batched phase hot path.
+// Per-kernel batch loops for the batched phase hot path.
 //
-// Each kernel's `compute_phase` batch loop lives here as a family of
-// implementations — scalar, AVX2, AVX-512 — behind one dispatch function
-// taking a resolved `core::BackendKind`. All tiers are bit-identical to
-// the per-edge reference path (test_batch_equivalence is the acceptance
-// bar). The SIMD tiers get that by construction: gathers and the flux
-// arithmetic run in vector lanes (IEEE-exact per lane, no FMA contraction
-// — this file is built with -ffp-contract=off on x86), while the scatter
-// accumulation into reduction arrays is always scalar and j-ascending,
-// because accumulation *order* is the contract.
+// Each kernel's `compute_phase` batch loop lives here in two tiers —
+// scalar and AVX-512 — behind one dispatch function. The tier is not a
+// knob: the dispatchers run the AVX-512 loops when CPUID reports AVX-512F
+// (support::host_cpu_features()) and the scalar loops otherwise. Both
+// tiers are bit-identical to the per-edge reference path
+// (test_batch_equivalence is the acceptance bar). The AVX-512 tier gets
+// that by construction: gathers and the flux arithmetic run in vector
+// lanes (IEEE-exact per lane, no FMA contraction — this file is built
+// with -ffp-contract=off), while the scatter accumulation into reduction
+// arrays is always scalar and j-ascending, because accumulation *order*
+// is the contract.
 //
 // Cache-blocked tiling: when an Args struct carries a non-zero `tile`
 // (from the plan's layout pass, core/layout.hpp), the dispatch functions
 // cut the phase into tiles of that many iterations and software-prefetch
 // the next tile's gather lines before running the current one. Tiling
 // never changes evaluation order — each tile runs the same j-ascending
-// loop — so it is bit-safe under every backend tier.
+// loop — so it is bit-safe under both tiers.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "core/backend.hpp"
 #include "mesh/mesh.hpp"
 
 namespace earthred::kernels::ops {
@@ -82,13 +83,13 @@ struct SpmvTArgs {
   std::uint32_t tile = 0;  ///< iterations per cache tile; 0 = untiled
 };
 
-// Dispatch on a *resolved* backend (never Auto; resolve with
-// core::resolve_backend first). An unsupported/uncompiled SIMD kind falls
-// back to scalar rather than faulting, so a stale PhaseView default is
-// always safe to execute.
-void fig1_phase(core::BackendKind backend, const Fig1Args& a);
-void euler_phase(core::BackendKind backend, const EulerArgs& a);
-void moldyn_phase(core::BackendKind backend, const MoldynArgs& a);
-void spmv_t_phase(core::BackendKind backend, const SpmvTArgs& a);
+void fig1_phase(const Fig1Args& a);
+void euler_phase(const EulerArgs& a);
+void moldyn_phase(const MoldynArgs& a);
+void spmv_t_phase(const SpmvTArgs& a);
+
+/// The tier the dispatchers above run on this host right now: "avx512"
+/// or "scalar" (what `earthred version` prints).
+const char* batch_tier();
 
 }  // namespace earthred::kernels::ops

@@ -65,17 +65,17 @@ void SpmvTKernel::compute_phase(earth::FiberContext& ctx,
                                 const core::PhaseView& phase,
                                 core::ProcArrays& arrays) const {
   // Single-reference case: a pure gather-multiply-scatter stream over the
-  // flattened indirection block, dispatched to the selected backend.
-  ops::spmv_t_phase(phase.backend, ops::SpmvTArgs{
-                                       .ia = phase.indir_row(0),
-                                       .eg = phase.iter_global.data(),
-                                       .row = row_.data(),
-                                       .val = val_.data(),
-                                       .x = x_.data(),
-                                       .y = arrays.reduction[0].data(),
-                                       .n = phase.num_iters,
-                                       .tile = phase.tile_iters,
-                                   });
+  // flattened indirection block (see ops_simd).
+  ops::spmv_t_phase(ops::SpmvTArgs{
+      .ia = phase.indir_row(0),
+      .eg = phase.iter_global.data(),
+      .row = row_.data(),
+      .val = val_.data(),
+      .x = x_.data(),
+      .y = arrays.reduction[0].data(),
+      .n = phase.num_iters,
+      .tile = phase.tile_iters,
+  });
   ctx.charge_flops(2 * phase.num_iters);
 }
 

@@ -30,8 +30,8 @@ const std::set<std::string>& known_keys() {
       "seed",    "procs",   "k",           "dist",    "bc",
       "dedup",   "sweeps",  "deadline",    "engine",  "name",
       "batch",   "no-batch","pin",         "parallel-build",
-      "verify",  "mutate",  "mutate-seed", "dsl",     "backend",
-      "strategy", "layout"};
+      "verify",  "mutate",  "mutate-seed", "dsl",     "strategy",
+      "layout"};
   return keys;
 }
 
@@ -132,9 +132,6 @@ void request_from_keys(const Options& jopt, JobRequest& req) {
   if (engine == "sim" || engine == "rotation") req.simulated = true;
   else ER_CHECK_MSG(engine == "native",
                     "unknown engine '" + engine + "'");
-  // Run knob only: the backend never reaches PlanOptions, so plans,
-  // cache entries, and shard routing are shared across backends.
-  req.backend = core::parse_backend(jopt.get("backend", "auto"));
   // Plan knob: the strategy can change result bits, so it enters
   // PlanOptions (and with it the cache key, the persisted plan header,
   // and shard routing when forced).

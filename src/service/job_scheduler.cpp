@@ -75,27 +75,16 @@ JobHandle JobScheduler::submit(JobRequest req) {
     reject("malformed request: null kernel");
     return handle;
   }
-  // Backend admission: a concrete (or EARTHRED_FORCE_BACKEND-forced)
-  // compute tier the host cannot run is a coded rejection here, never a
-  // fault inside a worker; `auto` always resolves and never rejects.
-  try {
-    (void)core::resolve_backend(req.backend);
-  } catch (const check_error& e) {
-    reject(e.what(), &rejected_backend_);
-    return handle;
-  }
-  // Strategy admission, same contract: a forced strategy the host cannot
-  // execute — or a forced privatized strategy whose replica memory would
-  // bust the budget — rejects here with "E-STRATEGY-UNSUPPORTED";
+  // Strategy admission: a forced privatized strategy whose replica
+  // memory would bust the budget rejects here with
+  // "E-STRATEGY-UNSUPPORTED" (and a misspelled EARTHRED_FORCE_STRATEGY
+  // with "E-STRATEGY-NAME"), never as a fault inside a worker;
   // `strategy=auto` always resolves and never rejects.
   if (!req.simulated) {
     try {
       const core::KernelShape shape = req.kernel->shape();
       const core::StrategyKind forced =
           core::effective_strategy(req.plan.strategy);
-      (void)core::resolve_strategy(
-          req.plan.strategy,
-          core::strategy_inputs(shape, req.plan.num_procs, req.plan.k));
       if (forced == core::StrategyKind::Privatized) {
         const std::uint64_t bytes =
             core::privatized_replica_bytes(shape, req.plan.num_procs);
@@ -249,16 +238,10 @@ void JobScheduler::worker_loop() {
       --in_flight_;
       if (out.state == JobState::Done) {
         ++completed_;
-        switch (out.backend) {
-          case core::BackendKind::Avx512: ++served_avx512_; break;
-          case core::BackendKind::Avx2: ++served_avx2_; break;
-          default: ++served_scalar_; break;
-        }
-        switch (out.strategy) {
-          case core::StrategyKind::Privatized: ++served_privatized_; break;
-          case core::StrategyKind::Atomic: ++served_atomic_; break;
-          default: ++served_phased_; break;
-        }
+        if (out.strategy == core::StrategyKind::Privatized)
+          ++served_privatized_;
+        else
+          ++served_phased_;
       } else if (out.state == JobState::Rejected) {
         // Worker-resolved rejects (plan verification) land in the same
         // lifetime tally as admission rejects, plus their own bucket.
@@ -352,11 +335,9 @@ JobOutcome JobScheduler::execute(Queued& job) {
       sopt.lose_forward = req.lose_forward;
       sopt.batch = req.batch;
       sopt.affinity = req.affinity;
-      sopt.backend = req.backend;
       const auto t1 = Clock::now();
       out.native = core::run_native_plan(*req.kernel, *plan, sopt);
       out.exec_seconds = seconds_since(t1);
-      out.backend = out.native.backend;
       out.strategy = out.native.strategy;
     }
     out.state = JobState::Done;
@@ -383,14 +364,9 @@ ServiceStats JobScheduler::stats() const {
     s.rejected_dsl = rejected_dsl_;
     s.rejected_plan = rejected_plan_;
     s.rejected_deadline = rejected_deadline_;
-    s.rejected_backend = rejected_backend_;
     s.rejected_strategy = rejected_strategy_;
-    s.served_scalar = served_scalar_;
-    s.served_avx2 = served_avx2_;
-    s.served_avx512 = served_avx512_;
     s.served_phased = served_phased_;
     s.served_privatized = served_privatized_;
-    s.served_atomic = served_atomic_;
     s.completed = completed_;
     s.failed = failed_;
     s.queue_depth = queue_.size();

@@ -83,11 +83,6 @@ struct JobRequest {
   bool batch = true;
   /// Worker pinning + first-touch placement for this job's sweep threads.
   core::AffinityOptions affinity{};
-  /// Compute backend for the batched phase loops. Auto (the default)
-  /// resolves to the widest tier the host supports and never rejects; a
-  /// concrete request the host cannot run is refused at admission with
-  /// "E-BACKEND-UNSUPPORTED" (ServiceStats::rejected_backend).
-  core::BackendKind backend = core::BackendKind::Auto;
   /// DSL source this job claims to implement (the CLI's `dsl=` job key).
   /// When non-empty, submit() runs the reduction-legality checker on it
   /// and rejects the job at admission — first diagnostic as the reason,
@@ -132,9 +127,6 @@ struct JobOutcome {
   double plan_build_seconds = 0.0;
   double exec_seconds = 0.0;   ///< sweep execution wall time
   double total_seconds = 0.0;  ///< admission to resolution
-  /// Concrete compute backend that served the job (native jobs; mirrors
-  /// NativeResult::backend, Scalar for simulated or per-edge runs).
-  core::BackendKind backend = core::BackendKind::Scalar;
   /// Concrete lowering strategy that served the job (native jobs; mirrors
   /// NativeResult::strategy — never Auto. Simulated jobs run the rotation
   /// engine, i.e. Phased).
@@ -262,14 +254,9 @@ class JobScheduler {
   std::uint64_t rejected_dsl_ = 0;   ///< DSL legality errors at admission
   std::uint64_t rejected_plan_ = 0;  ///< plan-verifier rejects
   std::uint64_t rejected_deadline_ = 0;  ///< expired at pickup during drain
-  std::uint64_t rejected_backend_ = 0;   ///< unsupported backend requests
   std::uint64_t rejected_strategy_ = 0;  ///< unsupported strategy requests
-  std::uint64_t served_scalar_ = 0;      ///< Done jobs by serving backend
-  std::uint64_t served_avx2_ = 0;
-  std::uint64_t served_avx512_ = 0;
   std::uint64_t served_phased_ = 0;      ///< Done jobs by serving strategy
   std::uint64_t served_privatized_ = 0;
-  std::uint64_t served_atomic_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t in_flight_ = 0;

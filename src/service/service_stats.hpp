@@ -21,29 +21,18 @@ struct ServiceStats {
   /// picked them up — rejected with the deadline reason, never silently
   /// completed late.
   std::uint64_t rejected_deadline = 0;
-  /// Jobs requesting a compute backend this host cannot run
-  /// ("E-BACKEND-UNSUPPORTED"); `backend=auto` never trips this.
-  std::uint64_t rejected_backend = 0;
-  /// Jobs forcing a lowering strategy this host cannot run, or a
-  /// privatized strategy whose replica memory exceeds the admission
-  /// budget ("E-STRATEGY-UNSUPPORTED"); `strategy=auto` never trips this.
+  /// Jobs forcing a privatized strategy whose replica memory exceeds the
+  /// admission budget ("E-STRATEGY-UNSUPPORTED"); `strategy=auto` never
+  /// trips this.
   std::uint64_t rejected_strategy = 0;
   std::uint64_t completed = 0;  ///< finished successfully
   std::uint64_t failed = 0;     ///< raised (deadline stall, bad shapes, ...)
-
-  // Completed native jobs by the compute backend that served them
-  // (bit-identical tiers of the batched phase loops; simulated and
-  // per-edge jobs count as scalar).
-  std::uint64_t served_scalar = 0;
-  std::uint64_t served_avx2 = 0;
-  std::uint64_t served_avx512 = 0;
 
   // Completed jobs by the lowering strategy that served them (after auto
   // resolution; simulated jobs run the rotation engine and count as
   // phased).
   std::uint64_t served_phased = 0;
   std::uint64_t served_privatized = 0;
-  std::uint64_t served_atomic = 0;
 
   // Instantaneous occupancy.
   std::uint64_t queue_depth = 0;

@@ -164,8 +164,8 @@ std::uint64_t content_key(std::string_view job_line) {
     std::string value(eq == std::string_view::npos ? std::string_view("")
                                                    : t.substr(eq + 1));
     if (key == "strategy") {
-      // Unlike "backend", a forced strategy IS plan identity (it can
-      // change result bits and forks the plan-cache key), so it routes —
+      // A forced strategy IS plan identity (it can change result bits
+      // and forks the plan-cache key), so it routes —
       // but the default/explicit "auto" adds nothing, keeping every
       // pre-strategy job line on its original shard.
       if (value != "auto") strategy = std::move(value);
@@ -183,13 +183,10 @@ std::uint64_t content_key(std::string_view job_line) {
       // Known non-routing keys (sweeps=, name=, ...) are skipped; unknown
       // tokens still perturb the hash so distinct-but-invalid lines
       // cannot be confused.
-      // "backend" is deliberately non-routing: compute backends are
-      // bit-identical by contract, so plans and shard placement must
-      // not fork on them.
       static const std::set<std::string> kNonRouting = {
           "sweeps", "deadline", "engine",  "name",
           "batch",  "no-batch", "pin",     "parallel-build",
-          "verify", "mutate",   "mutate-seed", "backend"};
+          "verify", "mutate",   "mutate-seed"};
       if (!kNonRouting.count(key)) {
         junk += std::string(t);
         junk += '\n';

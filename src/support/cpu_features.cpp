@@ -49,23 +49,17 @@ CpuFeatures detect() {
   unsigned ecx = 0;
   unsigned edx = 0;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
-  f.osxsave = (ecx & (1u << 27)) != 0;
-  if (f.osxsave) {
-    const std::uint64_t xcr0 = read_xcr0();
-    // Bits 1|2: XMM+YMM. Bits 5|6|7: opmask, ZMM-hi256, hi16-ZMM.
-    f.os_ymm = (xcr0 & 0x6) == 0x6;
-    f.os_zmm = f.os_ymm && (xcr0 & 0xe0) == 0xe0;
-  }
-  unsigned max_leaf = __get_cpuid_max(0, nullptr);
-  if (max_leaf >= 7) {
-    unsigned b = 0;
-    unsigned c = 0;
-    unsigned d = 0;
-    unsigned a = 0;
-    __cpuid_count(7, 0, a, b, c, d);
-    f.avx2 = f.os_ymm && (b & (1u << 5)) != 0;
-    f.avx512f = f.os_zmm && (b & (1u << 16)) != 0;
-  }
+  if ((ecx & (1u << 27)) == 0) return f;  // no OSXSAVE: no XCR0 to read
+  // XCR0 bits 1|2: XMM+YMM state. Bits 5|6|7: opmask, ZMM-hi256, hi16-ZMM.
+  const std::uint64_t xcr0 = read_xcr0();
+  const bool os_zmm = (xcr0 & 0xe6) == 0xe6;
+  if (!os_zmm || __get_cpuid_max(0, nullptr) < 7) return f;
+  unsigned a = 0;
+  unsigned b = 0;
+  unsigned c = 0;
+  unsigned d = 0;
+  __cpuid_count(7, 0, a, b, c, d);
+  f.avx512f = (b & (1u << 16)) != 0;
   return f;
 }
 
@@ -86,17 +80,6 @@ const CpuFeatures& host_cpu_features() {
 
 void set_cpu_features_for_test(const CpuFeatures* forced) {
   g_forced = forced;
-}
-
-std::string to_string(const CpuFeatures& f) {
-  std::string out;
-  if (f.avx2) out += "avx2";
-  if (f.avx512f) {
-    if (!out.empty()) out += ' ';
-    out += "avx512f";
-  }
-  if (out.empty()) return "none (scalar only)";
-  return out;
 }
 
 namespace {

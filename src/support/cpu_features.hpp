@@ -1,7 +1,8 @@
 #pragma once
 
-// Runtime CPU feature detection (CPUID + XGETBV) for the compute-backend
-// dispatch layer, plus a robust hardware-thread count that respects the
+// Runtime CPU feature detection (CPUID + XGETBV) for the batch loops'
+// AVX-512 tier (kernels/ops_simd), the host's cache geometry for the
+// layout pass, and a robust hardware-thread count that respects the
 // process affinity mask (containers and `taskset` runs frequently expose
 // fewer CPUs than the machine has online).
 
@@ -10,24 +11,16 @@
 
 namespace earthred::support {
 
-/// SIMD-relevant features of the host, as observed at process start.
-///
-/// `avx2` / `avx512f` are only reported true when the OS has also enabled
-/// the corresponding register state via XSAVE (XCR0 bits), so a true flag
-/// means the instructions are actually safe to execute.
+/// The CPU features the batch loops dispatch on, as observed at process
+/// start.
 struct CpuFeatures {
-  bool osxsave = false;   ///< OS uses XSAVE/XGETBV at all.
-  bool os_ymm = false;    ///< XCR0 enables XMM+YMM state (AVX usable).
-  bool os_zmm = false;    ///< XCR0 enables opmask+ZMM state (AVX-512 usable).
-  bool avx2 = false;      ///< CPU has AVX2 and the OS saves YMM state.
-  bool avx512f = false;   ///< CPU has AVX-512F and the OS saves ZMM state.
+  /// The CPU has AVX-512F *and* the OS saves the opmask/ZMM register
+  /// state (XCR0 bits via XGETBV), so the instructions are safe to run.
+  bool avx512f = false;
 };
 
 /// Detected features of this host, probed once and cached.
 const CpuFeatures& host_cpu_features();
-
-/// Human-readable summary, e.g. "avx2 avx512f" or "none (scalar only)".
-std::string to_string(const CpuFeatures& f);
 
 /// Test-only override for `host_cpu_features()`: pass a value to force a
 /// specific feature set (e.g. a host without AVX-512), or `nullptr` to

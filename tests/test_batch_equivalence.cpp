@@ -15,15 +15,16 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/native_engine.hpp"
 #include "inspector/light_inspector.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
 #include "kernels/moldyn.hpp"
+#include "kernels/ops_simd.hpp"
 #include "kernels/spmv_t.hpp"
 #include "mesh/generators.hpp"
 #include "sparse/nas_cg.hpp"
+#include "support/cpu_features.hpp"
 #include "support/prng.hpp"
 
 namespace earthred::core {
@@ -101,45 +102,54 @@ TEST(BatchEquivalence, BitIdenticalAcrossKernelsDistributionsAndK) {
 }
 
 TEST(BatchEquivalence, AllBackendsBitIdenticalToPerEdgeReference) {
-  // The acceptance bar for the compute-backend layer: every tier the
-  // host can run (scalar always; AVX2/AVX-512 when supported) must
-  // reproduce the per-edge reference bit for bit across every kernel,
-  // distribution, and k. The SIMD tiers vectorize gathers and arithmetic
+  // The acceptance bar for the batch loops' two tiers: the tier this host
+  // dispatches (AVX-512 when CPUID reports it) and the scalar loops
+  // (features forced to no-AVX-512) must each reproduce the per-edge
+  // reference bit for bit, through untiled and cache-tiled plans, on
+  // every kernel. The AVX-512 tier vectorizes gathers and arithmetic
   // only — scatter accumulation stays scalar and in order — so exact
-  // equality is the contract, not a tolerance.
-  std::vector<BackendKind> tiers = {BackendKind::Scalar};
-  if (backend_supported(BackendKind::Avx2))
-    tiers.push_back(BackendKind::Avx2);
-  if (backend_supported(BackendKind::Avx512))
-    tiers.push_back(BackendKind::Avx512);
+  // equality is the contract, not a tolerance. The forced tile of 13
+  // iterations leaves a remainder after every 8-lane block.
+  struct ScopedFeatures {
+    explicit ScopedFeatures(const support::CpuFeatures* f) {
+      support::set_cpu_features_for_test(f);
+    }
+    ~ScopedFeatures() { support::set_cpu_features_for_test(nullptr); }
+  };
+  const support::CpuFeatures no_avx512{};
 
-  const std::vector<NamedKernel> kernels = make_kernels();
-  for (const NamedKernel& nk : kernels) {
-    for (const auto dist : {inspector::Distribution::Block,
-                            inspector::Distribution::Cyclic,
-                            inspector::Distribution::BlockCyclic}) {
-      for (const std::uint32_t k : {1u, 2u, 4u}) {
-        PlanOptions popt;
-        popt.num_procs = 4;
-        popt.k = k;
-        popt.distribution = dist;
-        popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
-        const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
+  const std::vector<NamedKernel> named = make_kernels();
+  for (const support::CpuFeatures* features : {
+           static_cast<const support::CpuFeatures*>(nullptr), &no_avx512}) {
+    const ScopedFeatures scoped(features);
+    for (const bool tiled : {false, true}) {
+      for (const NamedKernel& nk : named) {
+        for (const std::uint32_t k : {1u, 2u}) {
+          PlanOptions popt;
+          popt.num_procs = 4;
+          popt.k = k;
+          popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
+          if (tiled) {
+            popt.layout = LayoutKind::Rcm;
+            popt.layout_tile_iters = 13;
+          }
+          const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
+          // The default-layout plan is untiled unless the CI layout
+          // matrix forces a layout through EARTHRED_FORCE_LAYOUT.
+          if (tiled) {
+            ASSERT_EQ(plan.tile_iters, 13u);
+          }
 
-        SweepOptions sopt;
-        sopt.sweeps = 3;
-        sopt.batch = false;
-        const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
-
-        sopt.batch = true;
-        for (const BackendKind tier : tiers) {
-          sopt.backend = tier;
-          const NativeResult got = run_native_plan(*nk.kernel, plan, sopt);
-          EXPECT_EQ(got.backend, tier);
+          SweepOptions sopt;
+          sopt.sweeps = 3;
+          sopt.batch = false;
+          const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
+          sopt.batch = true;
+          const NativeResult batch = run_native_plan(*nk.kernel, plan, sopt);
           expect_results_identical(
-              edge, got,
-              nk.name + " backend=" + std::string(to_string(tier)) +
-                  " dist=" + std::to_string(static_cast<int>(dist)) +
+              edge, batch,
+              nk.name + " tier=" + kernels::ops::batch_tier() +
+                  (tiled ? " tiled" : " untiled") +
                   " k=" + std::to_string(k));
         }
       }
@@ -237,9 +247,8 @@ TEST(BatchEquivalence, ByteSizeCountsPhaseData) {
 }
 
 TEST(BatchEquivalence, StrategySweepKeepsExecutorContracts) {
-  // The strategy sweep of the original equivalence gate: for every
-  // deterministic strategy (atomic is excluded from bit-identity gates by
-  // contract), the batched executor must reproduce that strategy's
+  // The strategy sweep of the original equivalence gate: for both
+  // strategies, the batched executor must reproduce that strategy's
   // per-edge run bit for bit, and report the strategy it ran.
   const std::vector<NamedKernel> kernels = make_kernels();
   for (const NamedKernel& nk : kernels) {

@@ -113,11 +113,13 @@ TEST(CompiledKernel, RunsOnNativeThreadEngine) {
   const auto kernel = compiler::bind(compiled, 0, env);
   const auto want = kernel->interpret_reference();
 
-  core::NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 2;
-  const core::NativeResult r = core::run_native_engine(*kernel, opt);
+  core::PlanOptions plan_opt;
+  core::SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 2;
+  const core::NativeResult r =
+      core::run_native_engine(*kernel, plan_opt, sweep_opt);
   const auto& x = want.at("X");
   for (std::size_t i = 0; i < x.size(); ++i)
     ASSERT_EQ(r.reduction[0][i], x[i]) << "element " << i;

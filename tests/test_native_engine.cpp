@@ -28,12 +28,13 @@ TEST(NativeEngine, Fig1ExactMatchManyConfigs) {
     for (const std::uint32_t k : {1u, 2u, 3u}) {
       for (const auto dist : {inspector::Distribution::Block,
                               inspector::Distribution::Cyclic}) {
-        NativeOptions opt;
-        opt.num_procs = procs;
-        opt.k = k;
-        opt.distribution = dist;
-        opt.sweeps = 4;
-        const NativeResult r = run_native_engine(kernel, opt);
+        PlanOptions plan_opt;
+        SweepOptions sweep_opt;
+        plan_opt.num_procs = procs;
+        plan_opt.k = k;
+        plan_opt.distribution = dist;
+        sweep_opt.sweeps = 4;
+        const NativeResult r = run_native_engine(kernel, plan_opt, sweep_opt);
         for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
           ASSERT_EQ(r.reduction[0][i], seq.reduction[0][i])
               << "P=" << procs << " k=" << k;
@@ -49,11 +50,12 @@ TEST(NativeEngine, EulerStateMatchesSequential) {
   sopt.sweeps = 5;
   const RunResult seq = run_sequential_kernel(kernel, sopt);
 
-  NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 5;
-  const NativeResult r = run_native_engine(kernel, opt);
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 5;
+  const NativeResult r = run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t a = 0; a < seq.node_read.size(); ++a)
     for (std::size_t i = 0; i < seq.node_read[a].size(); ++i)
       ASSERT_NEAR(r.node_read[a][i], seq.node_read[a][i], 1e-9);
@@ -66,11 +68,12 @@ TEST(NativeEngine, MoldynStateMatchesSequential) {
   sopt.sweeps = 3;
   const RunResult seq = run_sequential_kernel(kernel, sopt);
 
-  NativeOptions opt;
-  opt.num_procs = 6;
-  opt.k = 2;
-  opt.sweeps = 3;
-  const NativeResult r = run_native_engine(kernel, opt);
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 6;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 3;
+  const NativeResult r = run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t a = 0; a < seq.node_read.size(); ++a)
     for (std::size_t i = 0; i < seq.node_read[a].size(); ++i)
       ASSERT_NEAR(r.node_read[a][i], seq.node_read[a][i], 1e-9);
@@ -81,16 +84,15 @@ TEST(NativeEngine, RepeatedRunsAreDeterministic) {
   // even floating-point results are bit-reproducible run to run.
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({128, 600, 13}));
-  NativeOptions opt;
-  opt.num_procs = 5;
-  opt.k = 2;
-  opt.sweeps = 4;
-  // Bit-reproducibility is a phased/privatized contract; pin phased so
-  // the CI strategy-matrix env cannot route this onto the atomic scatter,
-  // which is tolerance-reproducible only.
-  opt.strategy = StrategyKind::Phased;
-  const NativeResult a = run_native_engine(kernel, opt);
-  const NativeResult b = run_native_engine(kernel, opt);
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 5;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 4;
+  // Pin phased so the CI strategy-matrix env cannot reroute this test.
+  plan_opt.strategy = StrategyKind::Phased;
+  const NativeResult a = run_native_engine(kernel, plan_opt, sweep_opt);
+  const NativeResult b = run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t arr = 0; arr < a.node_read.size(); ++arr)
     for (std::size_t i = 0; i < a.node_read[arr].size(); ++i)
       ASSERT_EQ(a.node_read[arr][i], b.node_read[arr][i]);
@@ -99,11 +101,12 @@ TEST(NativeEngine, RepeatedRunsAreDeterministic) {
 TEST(NativeEngine, SingleSweepNoBroadcastPath) {
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({64, 300, 14}));
-  NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 1;
-  opt.sweeps = 1;
-  const NativeResult r = run_native_engine(kernel, opt);
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 1;
+  sweep_opt.sweeps = 1;
+  const NativeResult r = run_native_engine(kernel, plan_opt, sweep_opt);
   SequentialOptions sopt;
   const RunResult seq = run_sequential_kernel(kernel, sopt);
   for (std::size_t a = 0; a < seq.reduction.size(); ++a)
@@ -123,10 +126,12 @@ TEST(NativeEngine, DetachedContextForbidsEarthOps) {
 TEST(NativeEngine, RejectsDegenerateShapes) {
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({8, 20, 6}));
-  NativeOptions opt;
-  opt.num_procs = 8;
-  opt.k = 2;
-  EXPECT_THROW(run_native_engine(kernel, opt), precondition_error);
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 8;
+  plan_opt.k = 2;
+  EXPECT_THROW(run_native_engine(kernel, plan_opt, sweep_opt),
+               precondition_error);
 }
 
 TEST(NativeEngine, LostForwardTripsStallWatchdog) {
@@ -135,17 +140,18 @@ TEST(NativeEngine, LostForwardTripsStallWatchdog) {
   // convert the hang into a check_error naming the starved step.
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({96, 500, 21}));
-  NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 3;
-  opt.stall_timeout = 0.5;
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 3;
+  sweep_opt.stall_timeout = 0.5;
   // The faulted ring forward only exists in the phased executor; pin the
   // strategy so auto cannot route around the fault.
-  opt.strategy = StrategyKind::Phased;
-  opt.lose_forward = {true, 0, 0, 0};
+  plan_opt.strategy = StrategyKind::Phased;
+  sweep_opt.lose_forward = {true, 0, 0, 0};
   try {
-    run_native_engine(kernel, opt);
+    run_native_engine(kernel, plan_opt, sweep_opt);
     FAIL() << "expected the stall watchdog to fire";
   } catch (const check_error& e) {
     const std::string what = e.what();
@@ -162,12 +168,13 @@ TEST(NativeEngine, ZeroStallTimeoutStillRunsCleanSchedules) {
   SequentialOptions sopt;
   sopt.sweeps = 3;
   const RunResult seq = run_sequential_kernel(kernel, sopt);
-  NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 3;
-  opt.stall_timeout = 0.0;
-  const NativeResult r = run_native_engine(kernel, opt);
+  PlanOptions plan_opt;
+  SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 3;
+  sweep_opt.stall_timeout = 0.0;
+  const NativeResult r = run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
     ASSERT_EQ(r.reduction[0][i], seq.reduction[0][i]);
 }

@@ -126,13 +126,15 @@ TEST_P(RotationEngineSweep, ExactlyMatchesSequential) {
 
 TEST_P(RotationEngineSweep, NativeThreadsMatchSequential) {
   const auto [P, k, dist, dedup] = GetParam();
-  core::NativeOptions opt;
-  opt.num_procs = P;
-  opt.k = k;
-  opt.distribution = dist;
-  opt.inspector.dedup_buffers = dedup;
-  opt.sweeps = 3;
-  const core::NativeResult par = core::run_native_engine(kernel(), opt);
+  core::PlanOptions plan_opt;
+  core::SweepOptions sweep_opt;
+  plan_opt.num_procs = P;
+  plan_opt.k = k;
+  plan_opt.distribution = dist;
+  plan_opt.inspector.dedup_buffers = dedup;
+  sweep_opt.sweeps = 3;
+  const core::NativeResult par =
+      core::run_native_engine(kernel(), plan_opt, sweep_opt);
   const core::RunResult& seq = sequential();
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
     ASSERT_EQ(par.reduction[0][i], seq.reduction[0][i]) << "element " << i;

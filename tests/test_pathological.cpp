@@ -72,11 +72,13 @@ void check_all_engines(const mesh::Mesh& mesh, std::uint32_t procs,
   copt.machine.max_events = 50'000'000;
   const core::RunResult cls = core::run_classic_engine(kernel, copt);
 
-  core::NativeOptions nopt;
-  nopt.num_procs = procs;
-  nopt.k = k;
-  nopt.sweeps = 2;
-  const core::NativeResult nat = core::run_native_engine(kernel, nopt);
+  core::PlanOptions plan_opt;
+  core::SweepOptions sweep_opt;
+  plan_opt.num_procs = procs;
+  plan_opt.k = k;
+  sweep_opt.sweeps = 2;
+  const core::NativeResult nat =
+      core::run_native_engine(kernel, plan_opt, sweep_opt);
 
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i) {
     ASSERT_EQ(rot.reduction[0][i], seq.reduction[0][i]) << "rotation " << i;

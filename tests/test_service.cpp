@@ -39,19 +39,22 @@ TEST(SharedPlan, ReusedScheduleIsBitIdenticalToColdRuns) {
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({150, 900, 5}));
 
-  core::NativeOptions cold;
-  cold.num_procs = 4;
-  cold.k = 2;
-  cold.sweeps = 3;
-  const core::NativeResult cold1 = run_native_engine(kernel, cold);
-  const core::NativeResult cold2 = run_native_engine(kernel, cold);
+  core::PlanOptions plan_opt;
+  core::SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 3;
+  const core::NativeResult cold1 =
+      run_native_engine(kernel, plan_opt, sweep_opt);
+  const core::NativeResult cold2 =
+      run_native_engine(kernel, plan_opt, sweep_opt);
 
   const core::ExecutionPlan plan =
-      core::build_execution_plan(kernel, cold.plan());
+      core::build_execution_plan(kernel, plan_opt);
   const core::NativeResult warm1 =
-      core::run_native_plan(kernel, plan, cold.sweep());
+      core::run_native_plan(kernel, plan, sweep_opt);
   const core::NativeResult warm2 =
-      core::run_native_plan(kernel, plan, cold.sweep());
+      core::run_native_plan(kernel, plan, sweep_opt);
 
   ASSERT_EQ(warm1.reduction.size(), cold1.reduction.size());
   for (std::size_t a = 0; a < cold1.reduction.size(); ++a)
@@ -67,15 +70,17 @@ TEST(SharedPlan, EulerFloatingPointAlsoBitIdentical) {
   // reproduces bitwise across plan reuse.
   const kernels::EulerKernel kernel(
       mesh::make_geometric_mesh({120, 600, 6}));
-  core::NativeOptions opt;
-  opt.num_procs = 3;
-  opt.k = 2;
-  opt.sweeps = 4;
-  const core::NativeResult cold = run_native_engine(kernel, opt);
+  core::PlanOptions plan_opt;
+  core::SweepOptions sweep_opt;
+  plan_opt.num_procs = 3;
+  plan_opt.k = 2;
+  sweep_opt.sweeps = 4;
+  const core::NativeResult cold =
+      run_native_engine(kernel, plan_opt, sweep_opt);
   const core::ExecutionPlan plan =
-      core::build_execution_plan(kernel, opt.plan());
+      core::build_execution_plan(kernel, plan_opt);
   const core::NativeResult warm =
-      core::run_native_plan(kernel, plan, opt.sweep());
+      core::run_native_plan(kernel, plan, sweep_opt);
   for (std::size_t a = 0; a < cold.node_read.size(); ++a)
     for (std::size_t i = 0; i < cold.node_read[a].size(); ++i)
       ASSERT_EQ(warm.node_read[a][i], cold.node_read[a][i]);

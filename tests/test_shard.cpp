@@ -280,15 +280,6 @@ TEST(ContentKey, DefaultsOrderAndNonRoutingKeysAreCanonicalized) {
   EXPECT_EQ(shard::content_key("kernel=fig1 nodes=80 edges=400 procs=4 "
                                "k=2 mutate=16 mutate-seed=3"),
             base);
-  // The compute backend is a run knob, never a plan knob: all backends
-  // are bit-identical by contract, so backend= must not fork routing (a
-  // warm plan on the owning shard serves every tier).
-  EXPECT_EQ(shard::content_key("kernel=fig1 nodes=80 edges=400 procs=4 "
-                               "k=2 backend=avx512"),
-            base);
-  EXPECT_EQ(shard::content_key("kernel=fig1 nodes=80 edges=400 procs=4 "
-                               "k=2 backend=scalar"),
-            base);
   // Routing keys do.
   EXPECT_NE(shard::content_key("kernel=fig1 nodes=81 edges=400 procs=4 "
                                "k=2"),
@@ -364,6 +355,24 @@ TEST(Router, JobCodesPropagateWithoutFailover) {
   for (const ShardSnapshot& s : fleet.router->pool().snapshot())
     forwards += s.forwards;
   EXPECT_EQ(forwards, 1u);
+}
+
+TEST(Router, RetiredBackendKeyIsACodedReject) {
+  // backend= is no longer a job key: routed like any unknown token, the
+  // owning shard's JobBuilder refuses it with E-JOB-KEY, and the fleet
+  // keeps serving.
+  TestFleet fleet(2);
+  net::Client client(fleet.client_config());
+  const net::Client::Reply r = client.submit(
+      "kernel=fig1 nodes=80 edges=400 procs=4 k=2 backend=avx512");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code, "E-JOB-KEY") << r.detail;
+
+  const net::Client::Reply ok =
+      client.submit("kernel=fig1 nodes=80 edges=400 procs=4 k=2 sweeps=2");
+  ASSERT_TRUE(ok.ok()) << ok.code << ": " << ok.detail;
+  EXPECT_EQ(static_cast<JobState>(ok.result.state), JobState::Done);
+  EXPECT_EQ(fleet.router->stats().submit_rejects, 1u);
 }
 
 TEST(Router, PingReportsRouterHealth) {

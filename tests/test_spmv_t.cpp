@@ -71,10 +71,12 @@ TEST(SpmvT, SingleReferenceProducesNoDeferrals) {
 TEST(SpmvT, NativeEngineMatches) {
   const SpmvTKernel kernel = make_kernel(128, 7);
   const auto want = kernel.reference();
-  core::NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  const core::NativeResult r = core::run_native_engine(kernel, opt);
+  core::PlanOptions plan_opt;
+  core::SweepOptions sweep_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  const core::NativeResult r =
+      core::run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_NEAR(r.reduction[0][i], want[i],
                 1e-9 * (1.0 + std::abs(want[i])));

@@ -1,11 +1,10 @@
 // The lowering-strategy layer end to end: the explainable cost model and
 // its golden picks, the forced-strategy executor contracts (phased and
 // privatized are deterministic and bit-identical to their per-edge
-// reference; atomic is tolerance-reproducible and excluded from every
-// bit-identity gate), service admission (E-STRATEGY-UNSUPPORTED, the
-// privatized replica-byte budget, per-strategy served counters), the
-// plan-cache/store key fork, and the compiler's static strategy pass
-// (E-STRATEGY-EXTENT-MIX, W-STRATEGY-DUP-SCATTER, W-STRATEGY-ATOMIC-FP,
+// reference), service admission (the privatized replica-byte budget's
+// E-STRATEGY-UNSUPPORTED, per-strategy served counters, retired job-key
+// spellings), the plan-cache/store key fork, and the compiler's static
+// strategy pass (E-STRATEGY-EXTENT-MIX, W-STRATEGY-DUP-SCATTER,
 // I-STRATEGY-* explain notes).
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "compiler/strategy.hpp"
 #include "core/native_engine.hpp"
 #include "core/plan_io.hpp"
-#include "core/sequential.hpp"
 #include "core/strategy.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
@@ -61,8 +59,7 @@ struct EnvGuard {
 
 TEST(StrategyModel, ParseAndToStringRoundTrip) {
   for (const StrategyKind k :
-       {StrategyKind::Auto, StrategyKind::Phased, StrategyKind::Privatized,
-        StrategyKind::Atomic})
+       {StrategyKind::Auto, StrategyKind::Phased, StrategyKind::Privatized})
     EXPECT_EQ(core::parse_strategy(core::to_string(k)), k);
   EXPECT_EQ(core::parse_strategy("rotation"), StrategyKind::Phased);
   EXPECT_EQ(core::parse_strategy("private"), StrategyKind::Privatized);
@@ -84,38 +81,12 @@ TEST(StrategyModel, ScoresComeInFixedOrderWithRationales) {
   in.num_procs = 4;
   in.k = 2;
   const std::vector<StrategyCost> scores = core::score_strategies(in);
-  ASSERT_EQ(scores.size(), 3u);
+  ASSERT_EQ(scores.size(), 2u);
   EXPECT_EQ(scores[0].strategy, StrategyKind::Phased);
   EXPECT_EQ(scores[1].strategy, StrategyKind::Privatized);
-  EXPECT_EQ(scores[2].strategy, StrategyKind::Atomic);
   for (const StrategyCost& c : scores) {
     EXPECT_GT(c.cost_per_edge, 0.0);
     EXPECT_FALSE(c.rationale.empty());
-  }
-  // Atomic is opt-in only for real accumulators...
-  EXPECT_FALSE(scores[2].auto_eligible);
-  // ...but eligible for integer ones (exact sums commute).
-  in.fp_accumulators = false;
-  EXPECT_TRUE(core::score_strategies(in)[2].auto_eligible);
-}
-
-TEST(StrategyModel, AutoNeverPicksAtomicForFpAccumulators) {
-  // A shape where the CAS scatter is numerically the cheapest: tiny edge
-  // count against a huge element space makes rotation and merge traffic
-  // dominate both alternatives.
-  StrategyInputs in;
-  in.num_nodes = 100000;
-  in.num_edges = 1000;
-  in.num_refs = 1;
-  in.num_procs = 8;
-  in.k = 2;
-  const std::vector<StrategyCost> scores = core::score_strategies(in);
-  EXPECT_LT(scores[2].cost_per_edge, scores[0].cost_per_edge);
-  EXPECT_LT(scores[2].cost_per_edge, scores[1].cost_per_edge);
-  EXPECT_NE(core::choose_strategy(in), StrategyKind::Atomic);
-  if (core::strategy_supported(StrategyKind::Atomic)) {
-    in.fp_accumulators = false;
-    EXPECT_EQ(core::choose_strategy(in), StrategyKind::Atomic);
   }
 }
 
@@ -136,21 +107,6 @@ TEST(StrategyModel, GoldenPicksAcrossShapes) {
   EXPECT_EQ(pick(100, 600, 4, 2), StrategyKind::Privatized);
   EXPECT_EQ(pick(1000, 5000, 4, 2), StrategyKind::Phased);
   EXPECT_EQ(pick(400000, 2400000, 8, 2), StrategyKind::Phased);
-}
-
-TEST(StrategyModel, ContentionSkewOnlyPenalizesAtomic) {
-  StrategyInputs in;
-  in.num_nodes = 1000;
-  in.num_edges = 5000;
-  in.num_refs = 2;
-  in.num_procs = 4;
-  in.k = 2;
-  const std::vector<StrategyCost> flat = core::score_strategies(in);
-  in.fanin_cv = 3.0;  // hot elements
-  const std::vector<StrategyCost> skewed = core::score_strategies(in);
-  EXPECT_EQ(flat[0].cost_per_edge, skewed[0].cost_per_edge);
-  EXPECT_EQ(flat[1].cost_per_edge, skewed[1].cost_per_edge);
-  EXPECT_GT(skewed[2].cost_per_edge, flat[2].cost_per_edge);
 }
 
 TEST(StrategyModel, EnvOverrideAppliesOnlyToAuto) {
@@ -290,49 +246,16 @@ TEST(StrategyExec, PrivatizedRepeatedRunsAreDeterministic) {
   expect_identical(a, b, "privatized repeat");
 }
 
-TEST(StrategyExec, AtomicIsToleranceReproducible) {
-  if (!core::strategy_supported(StrategyKind::Atomic))
-    GTEST_SKIP() << "atomic_ref<double> not lock-free on this host";
-  for (const NamedKernel& nk : make_kernels()) {
-    core::PlanOptions popt;
-    popt.num_procs = 4;
-    popt.k = 2;
-    popt.strategy = StrategyKind::Atomic;
-    const core::ExecutionPlan plan =
-        core::build_execution_plan(*nk.kernel, popt);
-    core::SweepOptions sopt;
-    sopt.sweeps = 3;
-    const core::NativeResult r =
-        core::run_native_plan(*nk.kernel, plan, sopt);
-    EXPECT_EQ(r.strategy, StrategyKind::Atomic);
-    // The batched phase loops are unavailable on the atomic path, so the
-    // backend must report Scalar regardless of the batch flag.
-    EXPECT_EQ(r.backend, core::BackendKind::Scalar);
-
-    core::SequentialOptions seq_opt;
-    seq_opt.sweeps = 3;
-    const core::RunResult seq =
-        core::run_sequential_kernel(*nk.kernel, seq_opt);
-    for (std::size_t arr = 0; arr < seq.reduction.size(); ++arr)
-      for (std::size_t i = 0; i < seq.reduction[arr].size(); ++i) {
-        if (nk.exact)  // integer sums commute exactly even under CAS
-          ASSERT_EQ(r.reduction[arr][i], seq.reduction[arr][i]) << nk.name;
-        else
-          ASSERT_NEAR(r.reduction[arr][i], seq.reduction[arr][i], 1e-9)
-              << nk.name;
-      }
-  }
-}
-
 TEST(StrategyExec, AutoResolvesToConcreteStrategy) {
   EnvGuard guard;
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
       mesh::make_geometric_mesh({96, 500, 21}));
-  core::NativeOptions opt;
-  opt.num_procs = 4;
-  opt.k = 2;
-  opt.sweeps = 2;
-  const core::NativeResult r = core::run_native_engine(kernel, opt);
+  core::PlanOptions popt;
+  popt.num_procs = 4;
+  popt.k = 2;
+  core::SweepOptions sopt;
+  sopt.sweeps = 2;
+  const core::NativeResult r = core::run_native_engine(kernel, popt, sopt);
   EXPECT_NE(r.strategy, StrategyKind::Auto);
   EXPECT_EQ(r.strategy,
             core::resolve_strategy(
@@ -388,26 +311,21 @@ TEST(StrategyService, ForcedPrivatizedOverBudgetIsRejected) {
 
 TEST(StrategyService, ServedCountersTallyPerStrategy) {
   service::JobScheduler sched;
-  std::vector<StrategyKind> kinds = {StrategyKind::Phased,
-                                     StrategyKind::Privatized};
-  if (core::strategy_supported(StrategyKind::Atomic))
-    kinds.push_back(StrategyKind::Atomic);
-  for (const StrategyKind s : kinds) {
+  for (const StrategyKind s :
+       {StrategyKind::Phased, StrategyKind::Privatized}) {
     service::JobRequest req;
     req.kernel = small_kernel();
     req.name = std::string(core::to_string(s));
     req.plan = plan_opts(4, 2);
     req.plan.strategy = s;
     const service::JobHandle h = sched.submit(std::move(req));
-  const service::JobOutcome& o = h.wait();
+    const service::JobOutcome& o = h.wait();
     ASSERT_EQ(o.state, service::JobState::Done) << o.error;
     EXPECT_EQ(o.strategy, s);
   }
   const service::ServiceStats s = sched.stats();
   EXPECT_EQ(s.served_phased, 1u);
   EXPECT_EQ(s.served_privatized, 1u);
-  if (core::strategy_supported(StrategyKind::Atomic))
-    EXPECT_EQ(s.served_atomic, 1u);
   EXPECT_EQ(s.rejected_strategy, 0u);
 }
 
@@ -423,6 +341,23 @@ TEST(StrategyService, BuilderParsesStrategyJobKey) {
       "kernel=fig1 nodes=100 edges=500 strategy=bogus");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.code, "E-JOB-VALUE") << bad.detail;
+}
+
+TEST(StrategyService, BuilderRejectsRetiredSpellings) {
+  // The retired backend= key and atomic strategy fail as coded job
+  // errors, never as a silently ignored token.
+  service::JobBuilder builder;
+  const service::JobBuild backend = builder.build(
+      "kernel=fig1 nodes=100 edges=500 procs=4 k=2 backend=avx2");
+  EXPECT_FALSE(backend.ok());
+  EXPECT_EQ(backend.code, "E-JOB-KEY") << backend.detail;
+
+  const service::JobBuild atomic = builder.build(
+      "kernel=fig1 nodes=100 edges=500 procs=4 k=2 strategy=atomic");
+  EXPECT_FALSE(atomic.ok());
+  EXPECT_EQ(atomic.code, "E-JOB-VALUE") << atomic.detail;
+  EXPECT_NE(atomic.detail.find("E-STRATEGY-NAME"), std::string::npos)
+      << atomic.detail;
 }
 
 // ---- plan cache / store identity ---------------------------------------
@@ -520,22 +455,6 @@ forall (e : 0 .. num_edges) {
   EXPECT_TRUE(found);
 }
 
-TEST(StrategyPass, ForcedAtomicOnFpChainsWarns) {
-  compiler::StrategyContext ctx;
-  ctx.forced = StrategyKind::Atomic;
-  const compiler::StrategyReport sr =
-      compiler::check_source_with_strategies(kFig1Source, ctx);
-  EXPECT_FALSE(sr.check.has_errors());
-  bool warned = false;
-  for (const Diagnostic& d : sr.check.diagnostics)
-    warned = warned || d.code == "W-STRATEGY-ATOMIC-FP";
-  EXPECT_TRUE(warned);
-  ASSERT_EQ(sr.lowering.loops.size(), 1u);
-  EXPECT_EQ(sr.lowering.loops[0].chosen, StrategyKind::Atomic);
-  EXPECT_NE(sr.lowering.loops[0].rationale.find("forced"),
-            std::string::npos);
-}
-
 TEST(StrategyPass, ExplainNotesAreOptIn) {
   compiler::StrategyContext quiet;
   const compiler::StrategyReport silent =
@@ -554,7 +473,7 @@ TEST(StrategyPass, ExplainNotesAreOptIn) {
     choice += d.code == "I-STRATEGY-CHOICE";
   }
   EXPECT_EQ(chain, 1u);   // one classified chain: X via {IA1,IA2}
-  EXPECT_EQ(cost, 3u);    // all three strategies scored
+  EXPECT_EQ(cost, 2u);    // both strategies scored
   EXPECT_EQ(choice, 1u);  // one decision per loop
 
   ASSERT_EQ(sr.lowering.loops.size(), 1u);
@@ -564,7 +483,7 @@ TEST(StrategyPass, ExplainNotesAreOptIn) {
   EXPECT_EQ(ls.chains[0].array, "X");
   EXPECT_EQ(ls.chains[0].updates_per_iteration, 2u);
   EXPECT_EQ(ls.chains[0].elem, compiler::ElemType::Real);
-  ASSERT_EQ(ls.scores.size(), 3u);
+  ASSERT_EQ(ls.scores.size(), 2u);
   EXPECT_FALSE(ls.rationale.empty());
   EXPECT_NE(sr.lowering.render().find("strategy="), std::string::npos);
 }

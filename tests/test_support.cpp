@@ -1,11 +1,13 @@
 // Unit tests for the support library: checks, PRNGs, stats, strings,
-// tables, and option parsing.
+// tables, option parsing, and CPU feature detection.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "kernels/ops_simd.hpp"
 #include "support/check.hpp"
+#include "support/cpu_features.hpp"
 #include "support/options.hpp"
 #include "support/prng.hpp"
 #include "support/stats.hpp"
@@ -235,6 +237,29 @@ TEST(Options, IntListAndErrors) {
   const auto fallback = o.get_int_list("absent", {5});
   ASSERT_EQ(fallback.size(), 1u);
   EXPECT_EQ(fallback[0], 5);
+}
+
+// ---- CPU feature detection: what the batch loops dispatch on ----------
+
+TEST(CpuFeatures, DetectedFlagsAreInternallyConsistent) {
+  // Probed once and cached; the batch loops run the tier the flag names.
+  const support::CpuFeatures& f = support::host_cpu_features();
+  EXPECT_EQ(&f, &support::host_cpu_features());
+  EXPECT_STREQ(kernels::ops::batch_tier(), f.avx512f ? "avx512" : "scalar");
+}
+
+TEST(CpuFeatures, TestOverrideControlsDetection) {
+  const bool detected = support::host_cpu_features().avx512f;
+  const support::CpuFeatures no_avx512{};
+  support::set_cpu_features_for_test(&no_avx512);
+  EXPECT_FALSE(support::host_cpu_features().avx512f);
+  EXPECT_STREQ(kernels::ops::batch_tier(), "scalar");
+  support::set_cpu_features_for_test(nullptr);
+  EXPECT_EQ(support::host_cpu_features().avx512f, detected);
+}
+
+TEST(CpuFeatures, HardwareThreadsIsPositive) {
+  EXPECT_GE(support::hardware_threads(), 1u);
 }
 
 }  // namespace

@@ -14,18 +14,11 @@
 //                        path, default on) [--pin] (worker pinning +
 //                        first-touch) [--parallel-build[=T]] (plan build
 //                        task pool; T omitted = all cores)
-//                        [--backend=auto|scalar|avx2|avx512] (compute
-//                        backend for the batched loops; auto picks the
-//                        widest tier the host supports, an explicit tier
-//                        the host lacks fails with E-BACKEND-UNSUPPORTED;
-//                        all tiers are bit-identical)
-//                        [--strategy=auto|phased|privatized|atomic]
-//                        (lowering strategy: phased rotation engine,
+//                        [--strategy=auto|phased|privatized]
+//                        (lowering strategy: phased rotation engine or
 //                        per-worker privatized replicas with a fixed
-//                        worker-ascending fold, or opt-in atomic CAS
-//                        scatter; auto scores all three with the cost
-//                        model in src/core/strategy.cpp and never picks
-//                        atomic for floating-point accumulators)
+//                        worker-ascending fold; auto scores both with
+//                        the cost model in src/core/strategy.cpp)
 //                        [--layout=none|rcm|auto] (data-layout pass at
 //                        plan build: RCM renumbering of the reduction
 //                        arrays + target-stable edge reorder + cache
@@ -41,7 +34,7 @@
 //   earthred compile    --file=loop.dsl [--emit]
 //   earthred check      <loop.dsl> | --file=loop.dsl
 //                        [--explain] [--json] [--Werror]
-//                        [--strategy=auto|phased|privatized|atomic]
+//                        [--strategy=auto|phased|privatized]
 //                        [--procs=P] [--k=K]
 //                        (reduction-legality analysis + per-loop lowering
 //                        strategy selection: prints every diagnostic with
@@ -54,8 +47,6 @@
 //                        stdout. Exit 1 on errors, 2 with --Werror when
 //                        warnings remain, else 0.)
 //   earthred batch      --jobs=jobs.txt [--workers=W] [--queue=N]
-//                        [--backend=...] (default compute backend for
-//                        jobs that don't carry their own backend= key)
 //                        [--strategy=...] (default lowering strategy for
 //                        jobs without their own strategy= key)
 //                        [--layout=...] (default data-layout pass for
@@ -102,9 +93,9 @@
 //                        count + content-key digest). `drain` sends the
 //                        Drain control frame — pointed at a router it
 //                        quiesces the whole fleet router-last.
-//   earthred version    (also --version): build info, compiled compute
-//                        backends, detected CPU features (CPUID/xgetbv),
-//                        the backend `auto` resolves to on this host, and
+//   earthred version    (also --version): build info, the tier the
+//                        batch loops run on this host (avx512 when
+//                        CPUID/xgetbv report AVX-512F, else scalar), and
 //                        the detected cache sizes (L1d/L2/LLC + line
 //                        width) that size the layout pass's tiles
 //   earthred plan       save|load|ls --store=DIR
@@ -129,18 +120,14 @@
 // [engine=native|sim], [name=LABEL], [no-batch], [pin],
 // [parallel-build[=T]], [verify=on|off] (plan verification before the
 // sweeps; defaults to the build type's PlanOptions::verify),
-// [backend=auto|scalar|avx2|avx512] (compute backend; an unsupported
-// tier is rejected at admission with E-BACKEND-UNSUPPORTED, auto never
-// rejects), [strategy=auto|phased|privatized|atomic] (lowering strategy;
-// a forced strategy the host cannot honor — or forced privatized replicas
-// over the admission byte budget — is rejected with
+// [strategy=auto|phased|privatized] (lowering strategy; forced
+// privatized replicas over the admission byte budget are rejected with
 // E-STRATEGY-UNSUPPORTED, auto never rejects), [layout=none|rcm|auto]
 // (data-layout pass; forks the plan key and shard routing when
 // non-default, bit-identical results either way). Jobs on the same mesh
-// share one cached execution plan (see src/service/plan_cache.hpp) — the
-// backend never forks the plan key, since every backend is bit-identical
-// by contract, but a concrete strategy= DOES fork it, since strategies
-// may legally differ in floating-point summation order.
+// share one cached execution plan (see src/service/plan_cache.hpp); a
+// concrete strategy= forks the plan key, since strategies may legally
+// differ in floating-point summation order.
 //
 // Adaptive jobs: mutate=N [mutate-seed=S] rewires N random interactions
 // of the job's mesh and submits the mutated kernel with the *base* mesh's
@@ -184,6 +171,7 @@
 #include "core/sequential.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
+#include "kernels/ops_simd.hpp"
 #include "kernels/moldyn.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/io.hpp"
@@ -302,21 +290,17 @@ int cmd_info(const Options& opt) {
   return 0;
 }
 
-/// Shared parsing of the native-engine hot-path knobs (`run` flags and
-/// batch/serve job-line keys): --batch/--no-batch, --pin,
-/// --parallel-build[=T] (T omitted = one build thread per core).
-void hotpath_from_options(const Options& opt, bool& batch,
-                          core::AffinityOptions& affinity,
-                          std::uint32_t& build_threads,
-                          core::BackendKind& backend) {
-  batch = opt.has("no-batch") ? false : opt.get_bool("batch", true);
-  backend = core::parse_backend(opt.get("backend", "auto"));
+/// Parsing of the native-engine hot-path `run` flags: --batch/--no-batch,
+/// --pin, --parallel-build[=T] (T omitted = one build thread per core).
+void hotpath_from_options(const Options& opt, core::PlanOptions& popt,
+                          core::SweepOptions& sopt) {
+  sopt.batch = opt.has("no-batch") ? false : opt.get_bool("batch", true);
   if (opt.get_bool("pin", false)) {
-    affinity.pin_threads = true;
-    affinity.first_touch = true;
+    sopt.affinity.pin_threads = true;
+    sopt.affinity.first_touch = true;
   }
   if (opt.has("parallel-build"))
-    build_threads =
+    popt.build_threads =
         static_cast<std::uint32_t>(opt.get_int("parallel-build", 0));
 }
 
@@ -371,20 +355,9 @@ int cmd_run(const Options& opt) {
   const auto dist = inspector::parse_distribution(opt.get("dist", "cyclic"));
   const std::string engine = opt.get("engine", "rotation");
 
-  // --backend is a native-engine knob. Validate the spelling up front so
-  // a typo fails loudly on every engine, and refuse a concrete tier on
-  // the simulated engines, which would otherwise silently ignore it.
-  if (opt.has("backend")) {
-    const core::BackendKind requested =
-        core::parse_backend(opt.get("backend"));
-    if (engine != "native" && requested != core::BackendKind::Auto)
-      throw check_error("--backend=" + opt.get("backend") +
-                        " only applies to --engine=native (the '" + engine +
-                        "' engine simulates per-edge execution)");
-  }
-  // --strategy likewise picks a native lowering (phased rotation,
-  // privatized replicas, or atomic scatter); the simulated engines only
-  // model the phased rotation, so a concrete strategy is refused there.
+  // --strategy picks a native lowering (phased rotation or privatized
+  // replicas); the simulated engines only model the phased rotation, so
+  // a concrete strategy is refused there.
   if (opt.has("strategy")) {
     const core::StrategyKind requested =
         core::parse_strategy(opt.get("strategy"));
@@ -440,23 +413,22 @@ int cmd_run(const Options& opt) {
           " k=" + std::to_string(k) + " " + to_string(dist));
   t.set_header({"metric", "value"});
   if (engine == "native") {
-    core::NativeOptions nopt;
-    nopt.num_procs = procs;
-    nopt.k = k;
-    nopt.distribution = dist;
-    nopt.sweeps = sweeps;
-    hotpath_from_options(opt, nopt.batch, nopt.affinity,
-                         nopt.build_threads, nopt.backend);
-    nopt.strategy = core::parse_strategy(opt.get("strategy", "auto"));
-    nopt.layout = core::parse_layout(opt.get("layout", "none"));
-    const core::ExecutionPlan plan =
-        core::build_execution_plan(*kernel, nopt.plan());
-    const core::NativeResult r =
-        core::run_native_plan(*kernel, plan, nopt.sweep());
+    core::PlanOptions popt;
+    popt.num_procs = procs;
+    popt.k = k;
+    popt.distribution = dist;
+    popt.strategy = core::parse_strategy(opt.get("strategy", "auto"));
+    popt.layout = core::parse_layout(opt.get("layout", "none"));
+    core::SweepOptions wopt;
+    wopt.sweeps = sweeps;
+    hotpath_from_options(opt, popt, wopt);
+    const core::ExecutionPlan plan = core::build_execution_plan(*kernel, popt);
+    const core::NativeResult r = core::run_native_plan(*kernel, plan, wopt);
     t.add_row({"plan build seconds", fmt_f(plan.build_seconds, 4)});
     t.add_row({"wall seconds (host threads)", fmt_f(r.wall_seconds, 4)});
-    t.add_row({"executor", nopt.batch ? "batched" : "per-edge"});
-    t.add_row({"backend", std::string(core::to_string(r.backend))});
+    t.add_row({"executor", wopt.batch ? strformat("batched (%s)",
+                                                  kernels::ops::batch_tier())
+                                        : "per-edge"});
     t.add_row({"strategy", std::string(core::to_string(r.strategy))});
     t.add_row({"layout", std::string(core::to_string(plan.applied_layout)) +
                              (plan.tile_iters
@@ -594,7 +566,6 @@ std::string lowering_plan_json(const compiler::LoweringPlan& plan) {
       JsonWriter sw;
       sw.field("strategy", std::string(core::to_string(s.strategy)))
           .field("cost_per_edge", s.cost_per_edge)
-          .field("auto_eligible", s.auto_eligible)
           .field("rationale", s.rationale);
       scores.push_back(sw.str());
     }
@@ -726,12 +697,9 @@ service::JobScheduler::Config scheduler_config(const Options& opt) {
 int run_service(std::istream& jobs_in, const Options& opt) {
   service::JobScheduler sched(scheduler_config(opt));
   service::JobBuilder builder;  // local front end: file IO allowed
-  // Service-wide default compute backend: jobs whose line doesn't pick a
-  // concrete backend= run on this (auto = widest supported tier).
-  const core::BackendKind default_backend =
-      core::parse_backend(opt.get("backend", "auto"));
-  // Same shape for the lowering strategy; auto defers to the per-shape
-  // cost model at execution time.
+  // Service-wide default lowering strategy: jobs whose line doesn't pick
+  // a concrete strategy= run on this; auto defers to the per-shape cost
+  // model at execution time.
   const core::StrategyKind default_strategy =
       core::parse_strategy(opt.get("strategy", "auto"));
   // And for the data-layout pass: jobs without their own layout= key get
@@ -761,8 +729,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
       continue;
     }
     for (service::JobRequest& req : b.requests) {
-      if (req.backend == core::BackendKind::Auto)
-        req.backend = default_backend;
       if (req.plan.strategy == core::StrategyKind::Auto)
         req.plan.strategy = default_strategy;
       if (req.plan.layout == core::LayoutKind::None)
@@ -831,8 +797,7 @@ int run_service(std::istream& jobs_in, const Options& opt) {
       detail = fmt_group(static_cast<long long>(
                    o.simulated_run.total_cycles)) + " cycles";
     else if (o.state == service::JobState::Done && !o.simulated)
-      detail = "backend=" + std::string(core::to_string(o.backend)) +
-               " strategy=" + std::string(core::to_string(o.strategy));
+      detail = "strategy=" + std::string(core::to_string(o.strategy));
     t.add_row({o.name, to_string(o.state),
                o.state == service::JobState::Rejected
                    ? "-"
@@ -852,8 +817,7 @@ int run_service(std::istream& jobs_in, const Options& opt) {
           .field("exec_seconds", o.exec_seconds)
           .field("total_seconds", o.total_seconds);
       if (o.state == service::JobState::Done && !o.simulated)
-        w.field("backend", std::string(core::to_string(o.backend)))
-            .field("strategy", std::string(core::to_string(o.strategy)))
+        w.field("strategy", std::string(core::to_string(o.strategy)))
             .field("digest",
                 strformat("%016llx",
                           static_cast<unsigned long long>(
@@ -873,14 +837,9 @@ int run_service(std::istream& jobs_in, const Options& opt) {
         .field("completed", stats.completed)
         .field("failed", stats.failed)
         .field("rejected", stats.rejected)
-        .field("rejected_backend", stats.rejected_backend)
         .field("rejected_strategy", stats.rejected_strategy)
-        .field("served_scalar", stats.served_scalar)
-        .field("served_avx2", stats.served_avx2)
-        .field("served_avx512", stats.served_avx512)
         .field("served_phased", stats.served_phased)
         .field("served_privatized", stats.served_privatized)
-        .field("served_atomic", stats.served_atomic)
         .field("p50_latency_s", stats.p50_latency)
         .field("p95_latency_s", stats.p95_latency)
         .field("p99_latency_s", stats.p99_latency)
@@ -1007,10 +966,7 @@ int run_netserve(const Options& opt) {
   limits.allow_file_io = false;
   auto builder = std::make_shared<service::JobBuilder>(limits);
   auto lineno = std::make_shared<std::size_t>(0);
-  // Same default-backend rule as the stdin/batch front end: a job line
-  // without a concrete backend= key runs on the server's --backend=.
-  const core::BackendKind default_backend =
-      core::parse_backend(opt.get("backend", "auto"));
+  // Same default-strategy/layout rule as the stdin/batch front end.
   const core::StrategyKind default_strategy =
       core::parse_strategy(opt.get("strategy", "auto"));
   const core::LayoutKind default_layout =
@@ -1027,12 +983,10 @@ int run_netserve(const Options& opt) {
 
   service::ServeLoop loop(
       sched,
-      [builder, lineno, default_backend, default_strategy,
+      [builder, lineno, default_strategy,
        default_layout](std::string_view job_line) {
         service::JobBuild b = builder->build(job_line, ++*lineno);
         for (service::JobRequest& req : b.requests) {
-          if (req.backend == core::BackendKind::Auto)
-            req.backend = default_backend;
           if (req.plan.strategy == core::StrategyKind::Auto)
             req.plan.strategy = default_strategy;
           if (req.plan.layout == core::LayoutKind::None)
@@ -1052,12 +1006,7 @@ int run_netserve(const Options& opt) {
   std::printf("earthred: serving on %s:%u (signal once to drain, twice "
               "to force)\n",
               scfg.host.c_str(), loop.port());
-  std::printf("earthred: cpu features: %s; backend auto -> %s\n",
-              support::to_string(support::host_cpu_features()).c_str(),
-              std::string(core::to_string(
-                              core::resolve_backend(
-                                  core::BackendKind::Auto)))
-                  .c_str());
+  std::printf("earthred: batch loops: %s\n", kernels::ops::batch_tier());
   std::fflush(stdout);
 
   service::install_shutdown_signals();
@@ -1416,22 +1365,10 @@ int cmd_fleet(const Options& opt) {
 }
 
 int cmd_version() {
-  const support::CpuFeatures& f = support::host_cpu_features();
   std::printf("earthred (irregular-reduction service)\n");
-  std::string compiled;
-  for (const core::BackendKind k : core::compiled_backends()) {
-    if (!compiled.empty()) compiled += ' ';
-    compiled += std::string(core::to_string(k));
-  }
-  std::printf("compiled backends: %s\n", compiled.c_str());
-  std::printf("cpu features: %s (osxsave=%d ymm=%d zmm=%d)\n",
-              support::to_string(f).c_str(), f.osxsave ? 1 : 0,
-              f.os_ymm ? 1 : 0, f.os_zmm ? 1 : 0);
-  std::printf(
-      "backend auto -> %s\n",
-      std::string(core::to_string(
-                      core::resolve_backend(core::BackendKind::Auto)))
-          .c_str());
+  // The batch loops pick their tier from CPUID: AVX-512 when the host
+  // reports AVX-512F (and the OS saves ZMM state), scalar otherwise.
+  std::printf("batch loops: %s\n", kernels::ops::batch_tier());
   std::printf("hardware threads: %u\n", support::hardware_threads());
   // Detected cache geometry — the inputs the layout pass's tile-size
   // heuristic works from (core::layout_tile_iters).

@@ -101,6 +101,11 @@ int main(int argc, char** argv) {
   }
   {
     auto b = good;
+    b[76] = std::byte{0x03};  // u32 strategy: the retired atomic value
+    write_file(dir / "parse-strategy-retired.plan", b);
+  }
+  {
+    auto b = good;
     b[core::kPlanHeaderBytes + b.size() / 3] ^= std::byte{0x10};
     write_file(dir / "checksum-payload-bitflip.plan", b);
   }
