@@ -35,39 +35,23 @@
 // hardware. --strategy-json=<path> appends the comparison as a JSONL
 // record (BENCH_strategy.json in the repo).
 //
-// Part 1d (data layout): builds a layout=none and a layout=auto plan for
-// euler on a large *shuffled* geometric mesh (node ids carry no locality
-// — the worst case the layout pass exists for) and runs the batched path
-// on both. The layout knob forks the plan, never the answer: the rcm
-// plan must be bit-identical to layout=none (same FP operations at
-// relabeled addresses — gated always), and in full mode the localized
-// gathers + sequential scatters + cache-blocked tiles must buy >= 1.2x
-// batched edges/s over layout=none on the DRAM-resident mesh.
-// --layout-json=<path> appends the comparison as a JSONL record
-// (BENCH_layout.json in the repo).
-//
 // Exit code: 0 when every kernel's executors agree bit-identically AND
-// every strategy agrees within its contract AND the layout=auto results
-// are bit-identical to layout=none AND (full mode only) the best batched
-// speedup reaches 2x on euler or moldyn AND (full mode only) the Auto
-// strategy pick stays
-// >= 0.9x of the best measured strategy AND (full mode only) the
-// layout=auto plan reaches 1.2x of layout=none on the shuffled mesh AND
-// (full mode only) the verifier overhead stays under 5%; nonzero
-// otherwise. --small shrinks meshes/reps for CI smoke runs and drops the
-// throughput gates (shared runners are too noisy to gate on throughput)
-// — bit-identity stays gated.
+// every strategy agrees within its contract AND (full mode only) the
+// best batched speedup reaches 2x on euler or moldyn AND (full mode
+// only) the Auto strategy pick stays >= 0.9x of the best measured
+// strategy AND (full mode only) the verifier overhead stays under 5%;
+// nonzero otherwise. --small shrinks meshes/reps for CI smoke runs and
+// drops the throughput gates (shared runners are too noisy to gate on
+// throughput) — bit-identity stays gated.
 //
 // Flags: --small, --procs=P (default 4), --k=K (default 2),
 //        --sweeps=S, --reps=R, --json=<path> (JSONL records),
-//        --strategy-json=<path> (strategy-comparison JSONL record),
-//        --layout-json=<path> (layout-comparison JSONL record).
+//        --strategy-json=<path> (strategy-comparison JSONL record).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -83,7 +67,6 @@
 #include "kernels/moldyn.hpp"
 #include "mesh/generators.hpp"
 #include "support/options.hpp"
-#include "support/prng.hpp"
 #include "support/table.hpp"
 
 namespace earthred {
@@ -320,82 +303,6 @@ int run(const Options& opt) {
   }
   st.print(std::cout);
 
-  // ---- Part 1d: data-layout pass on the batched path ------------------
-  // A dedicated workload: euler on a large geometric mesh whose node ids
-  // are shuffled, so neither gathers nor scatters carry any incidental
-  // locality. The paper-faithful layout=none plan walks that randomness;
-  // layout=auto renumbers (portion-preserving RCM), reorders each phase
-  // target-stable, and tiles — and must produce bit-identical results,
-  // because every transformation is an FP-order-preserving isomorphism.
-  // Full-mode sizing: the gather-reachable node data must overflow the
-  // LLC (the bench host's is 260 MiB), or "DRAM-resident" silently means
-  // "LLC-resident" and the measured win shrinks to the L2-vs-LLC gap.
-  // --layout-nodes / --layout-edges override for probing other regimes.
-  const auto lay_nodes = static_cast<std::uint32_t>(
-      opt.get_int("layout-nodes", small ? 20000 : 6000000));
-  const auto lay_edges_req = static_cast<std::uint64_t>(
-      opt.get_int("layout-edges", small ? 80000 : 24000000));
-  const mesh::GeomMeshParams lay_params = {lay_nodes, lay_edges_req, 33};
-  mesh::Mesh lay_mesh = mesh::make_geometric_mesh(lay_params);
-  {
-    std::vector<std::uint32_t> shuffle(lay_mesh.num_nodes);
-    std::iota(shuffle.begin(), shuffle.end(), 0u);
-    Xoshiro256 rng(20260808);
-    for (std::uint32_t i = lay_mesh.num_nodes; i > 1; --i)
-      std::swap(shuffle[i - 1], shuffle[rng.below(i)]);
-    lay_mesh = mesh::renumber(lay_mesh, shuffle);
-  }
-  const std::uint64_t lay_edges = lay_mesh.num_edges();
-  const kernels::EulerKernel lay_kernel(std::move(lay_mesh));
-  const double lay_total_edges =
-      static_cast<double>(lay_edges) * static_cast<double>(sweeps);
-
-  const core::LayoutKind lay_kinds[2] = {core::LayoutKind::None,
-                                         core::LayoutKind::Auto};
-  double lay_s[2] = {0.0, 0.0};
-  core::NativeResult lay_res[2];
-  core::LayoutKind lay_applied[2] = {core::LayoutKind::None,
-                                     core::LayoutKind::None};
-  std::uint32_t lay_tiles[2] = {0, 0};
-  for (int i = 0; i < 2; ++i) {
-    core::PlanOptions lpopt;
-    lpopt.num_procs = procs;
-    lpopt.k = k;
-    lpopt.strategy = core::StrategyKind::Phased;  // see Part 1 comment
-    lpopt.layout = lay_kinds[i];
-    const core::ExecutionPlan plan =
-        core::build_execution_plan(lay_kernel, lpopt);
-    lay_applied[i] = plan.applied_layout;
-    lay_tiles[i] = plan.tile_iters;
-    core::SweepOptions lsopt;
-    lsopt.sweeps = sweeps;
-    lsopt.batch = true;
-    lay_s[i] = best_run(lay_kernel, plan, lsopt, reps, &lay_res[i]);
-  }
-  const bool layout_identical =
-      same_arrays(lay_res[0].reduction, lay_res[1].reduction) &&
-      same_arrays(lay_res[0].node_read, lay_res[1].node_read);
-  const double lay_none_rate =
-      lay_s[0] > 0 ? lay_total_edges / lay_s[0] : 0.0;
-  const double lay_auto_rate =
-      lay_s[1] > 0 ? lay_total_edges / lay_s[1] : 0.0;
-  const double layout_speedup =
-      lay_s[0] > 0 && lay_s[1] > 0 ? lay_s[0] / lay_s[1] : 0.0;
-
-  Table lt("data layout: batched path on a shuffled euler mesh (" +
-           std::to_string(lay_edges) + " edges, P=" + std::to_string(procs) +
-           ", k=" + std::to_string(k) + ")");
-  lt.set_header({"layout", "applied", "tile iters", "batched Medges/s",
-                 "speedup", "bit-identical"});
-  lt.add_row({"none", std::string(core::to_string(lay_applied[0])),
-              lay_tiles[0] ? std::to_string(lay_tiles[0]) : "-",
-              fmt_f(lay_none_rate / 1e6, 2), "1.00x", "-"});
-  lt.add_row({"auto", std::string(core::to_string(lay_applied[1])),
-              lay_tiles[1] ? std::to_string(lay_tiles[1]) : "-",
-              fmt_f(lay_auto_rate / 1e6, 2), fmt_f(layout_speedup, 2) + "x",
-              layout_identical ? "yes" : "NO"});
-  lt.print(std::cout);
-
   // ---- Part 2: serial vs parallel plan build --------------------------
   const unsigned hw = support::hardware_threads();
   const Workload& build_wl = workloads[1];  // euler: the largest inspector
@@ -502,19 +409,6 @@ int run(const Options& opt) {
       small ? "(smoke mode: not gated)"
             : (strategy_auto_ok ? "(>= 0.9x: PASS)" : "(< 0.9x: FAIL)"));
 
-  // Layout gate: bit-identity to layout=none is gated always (the whole
-  // design rests on the pass being an FP-order-preserving isomorphism);
-  // the 1.2x throughput floor applies in full mode on the shuffled
-  // DRAM-resident mesh, where localized gathers and sequential scatters
-  // are exactly what the pass sells.
-  const bool layout_speedup_ok = small || layout_speedup >= 1.2;
-  std::printf(
-      "layout=auto bit-identical to layout=none: %s; shuffled-mesh "
-      "speedup %.2fx %s\n",
-      layout_identical ? "yes" : "NO", layout_speedup,
-      small ? "(smoke mode: not gated)"
-            : (layout_speedup_ok ? "(>= 1.2x: PASS)" : "(< 1.2x: FAIL)"));
-
   if (opt.has("strategy-json")) {
     JsonWriter w;
     w.field("bench", "strategy")
@@ -530,34 +424,6 @@ int run(const Options& opt) {
     append_json_line(opt.get("strategy-json"), w.str());
     std::printf("appended strategy JSON record to %s\n",
                 opt.get("strategy-json").c_str());
-  }
-
-  if (opt.has("layout-json")) {
-    JsonWriter w;
-    w.field("bench", "layout")
-        .field("small", small)
-        .field("procs", static_cast<std::uint64_t>(procs))
-        .field("k", static_cast<std::uint64_t>(k))
-        .field("sweeps", static_cast<std::uint64_t>(sweeps))
-        .field("reps", static_cast<std::uint64_t>(reps))
-        .field("kernel", "euler")
-        .field("edges", lay_edges)
-        .field("nodes", static_cast<std::uint64_t>(lay_params.num_nodes))
-        .field("caches", support::to_string(support::host_cache_info()))
-        .field("none_applied",
-               std::string(core::to_string(lay_applied[0])))
-        .field("auto_applied",
-               std::string(core::to_string(lay_applied[1])))
-        .field("tile_iters", static_cast<std::uint64_t>(lay_tiles[1]))
-        .field("none_seconds", lay_s[0])
-        .field("auto_seconds", lay_s[1])
-        .field("none_edges_per_s", lay_none_rate)
-        .field("auto_edges_per_s", lay_auto_rate)
-        .field("speedup", layout_speedup)
-        .field("bit_identical", layout_identical);
-    append_json_line(opt.get("layout-json"), w.str());
-    std::printf("appended layout JSON record to %s\n",
-                opt.get("layout-json").c_str());
   }
 
   if (opt.has("json")) {
@@ -582,7 +448,7 @@ int run(const Options& opt) {
     std::printf("appended JSON record to %s\n", opt.get("json").c_str());
   }
   return all_identical && speedup_ok && verify_ok && strategies_agree &&
-                 strategy_auto_ok && layout_identical && layout_speedup_ok
+                 strategy_auto_ok
              ? 0
              : 1;
 }

@@ -1,12 +1,10 @@
 #include "compiler/strategy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 
 #include "compiler/parser.hpp"
-#include "support/cpu_features.hpp"
 #include "support/str.hpp"
 
 namespace earthred::compiler {
@@ -135,19 +133,14 @@ core::StrategyInputs loop_inputs(const std::vector<ChainInfo>& chains,
 
   std::set<std::string> refs;
   std::set<std::string> arrays;
-  double fanin_sum = 0.0;
   for (const ChainInfo& c : chains) {
     refs.insert(c.indirections.begin(), c.indirections.end());
     arrays.insert(c.array);
-    fanin_sum += c.fanin;
   }
   in.num_refs = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(refs.size()));
   in.num_reduction_arrays = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(arrays.size()));
-  in.fanin_mean = chains.empty()
-                      ? 0.0
-                      : fanin_sum / static_cast<double>(chains.size());
   return in;
 }
 
@@ -162,26 +155,6 @@ std::string chain_note(const ChainInfo& c) {
 }
 
 }  // namespace
-
-MeshStats mesh_stats_from_degrees(const std::vector<std::uint32_t>& degrees,
-                                  std::uint64_t num_edges) {
-  MeshStats stats;
-  stats.num_nodes = degrees.size();
-  stats.num_edges = num_edges;
-  if (degrees.empty()) return stats;
-  double sum = 0.0;
-  for (const std::uint32_t d : degrees) sum += d;
-  stats.mean_degree = sum / static_cast<double>(degrees.size());
-  double var = 0.0;
-  for (const std::uint32_t d : degrees) {
-    const double delta = d - stats.mean_degree;
-    var += delta * delta;
-  }
-  var /= static_cast<double>(degrees.size());
-  stats.degree_cv =
-      stats.mean_degree > 0.0 ? std::sqrt(var) / stats.mean_degree : 0.0;
-  return stats;
-}
 
 LoweringPlan select_strategies(const Program& program,
                                const AnalysisResult& analysis,
@@ -221,23 +194,6 @@ LoweringPlan select_strategies(const Program& program,
 
     const core::StrategyInputs in = loop_inputs(out.chains, ctx);
     out.scores = core::score_strategies(in);
-
-    // Cache-line reuse the layout pass would unlock: once targets are
-    // renumbered contiguous and the edge order is sorted by target, the
-    // fan-in of a whole line of accumulators is served by one fetch.
-    // Element width follows the chains (real = 8 B, int = 4 B).
-    {
-      const std::uint32_t line_bytes =
-          support::host_cache_info().line_bytes
-              ? support::host_cache_info().line_bytes
-              : 64;
-      bool fp = false;
-      for (const ChainInfo& c : out.chains)
-        fp = fp || c.elem == ElemType::Real;
-      const double line_elems =
-          static_cast<double>(line_bytes) / (fp ? 8.0 : 4.0);
-      out.est_line_reuse = in.fanin_mean * line_elems;
-    }
 
     // The auto pick and the runner-up it beat. Scores come as {phased,
     // privatized}; ties go to phased, as in core::choose_strategy.
@@ -281,11 +237,6 @@ LoweringPlan select_strategies(const Program& program,
                 strformat("lowering as %s: %s",
                           std::string(core::to_string(out.chosen)).c_str(),
                           out.rationale.c_str()));
-      sink.note(loop.line, loop.column, "I-STRATEGY-LAYOUT",
-                strformat("est. reduction cache-line reuse with "
-                          "--layout=rcm: %.1f updates/line fetch (~1 at "
-                          "layout=none on a DRAM-resident array)",
-                          out.est_line_reuse));
     }
     plan.loops.push_back(std::move(out));
   }
@@ -304,9 +255,6 @@ std::string LoweringPlan::render() const {
     out += strformat("strategy=%s — %s\n",
                      std::string(core::to_string(ls.chosen)).c_str(),
                      ls.rationale.c_str());
-    out += strformat("  est. line reuse with --layout=rcm: %.1f "
-                     "updates/fetch (~1 at layout=none)\n",
-                     ls.est_line_reuse);
     for (const ChainInfo& c : ls.chains)
       out += "  " + chain_note(c) + "\n";
     for (const core::StrategyCost& c : ls.scores)

@@ -26,8 +26,6 @@
 //   I-STRATEGY-CHAIN       (explain) one note per classified chain
 //   I-STRATEGY-COST        (explain) one note per scored strategy
 //   I-STRATEGY-CHOICE      (explain) the chosen strategy + rationale
-//   I-STRATEGY-LAYOUT      (explain) estimated reduction-array cache-line
-//                          reuse the --layout pass would unlock per loop
 #pragma once
 
 #include <cstdint>
@@ -43,22 +41,15 @@
 
 namespace earthred::compiler {
 
-/// Connectivity statistics of a bound mesh. When absent (plain
-/// `earthred check` on a DSL file has no data), fan-in estimates fall
-/// back to the service's default shape (1000 nodes / 5000 edges) so the
-/// symbolic scores stay comparable with runtime defaults.
+/// Size of a bound mesh. When absent (plain `earthred check` on a DSL
+/// file has no data), fan-in estimates fall back to the service's default
+/// shape (1000 nodes / 5000 edges) so the symbolic scores stay comparable
+/// with runtime defaults.
 struct MeshStats {
   std::uint64_t num_nodes = 0;
   std::uint64_t num_edges = 0;
-  double mean_degree = 0.0;  ///< mean edges incident per node
-  double degree_cv = 0.0;    ///< coefficient of variation of degree
   bool bound() const { return num_nodes > 0 && num_edges > 0; }
 };
-
-/// Computes MeshStats (mean/CV of the node-degree distribution) from a
-/// degree histogram, e.g. mesh::node_degrees().
-MeshStats mesh_stats_from_degrees(const std::vector<std::uint32_t>& degrees,
-                                  std::uint64_t num_edges);
 
 /// What the pass knows about the execution environment.
 struct StrategyContext {
@@ -98,11 +89,6 @@ struct LoopStrategy {
   std::vector<core::StrategyCost> scores;
   core::StrategyKind chosen = core::StrategyKind::Phased;
   std::string rationale;
-  /// Estimated scattered updates served per reduction-array cache-line
-  /// fetch once the layout pass localizes the targets (mean fan-in x
-  /// accumulator elements per line). The layout=none baseline on a
-  /// DRAM-resident array is ~1 update per fetch; 0 when not scored.
-  double est_line_reuse = 0.0;
 };
 
 /// The pass result: one LoopStrategy per program loop (parallel to

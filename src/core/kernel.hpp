@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -67,12 +66,6 @@ struct PhaseView {
   std::span<const std::uint32_t> indir;
   std::size_t num_iters = 0;
   std::uint32_t num_refs = 0;
-  /// Cache-blocking tile size in iterations from the plan's layout pass
-  /// (ExecutionPlan::tile_iters). 0 = untiled: batch loops run the whole
-  /// phase in one span. Tiling only changes issue distance (the next
-  /// tile's gather lines are software-prefetched), never evaluation
-  /// order, so it is bit-safe under both batch-loop tiers.
-  std::uint32_t tile_iters = 0;
 
   /// Contiguous redirected indices for reference slot `r`.
   const std::uint32_t* indir_row(std::uint32_t r) const noexcept {
@@ -142,20 +135,6 @@ class PhasedKernel {
       compute_edge(ctx, tags, phase.iter_global[j], phase.iter_local[j],
                    redirected, arrays);
     }
-  }
-
-  /// Layout support: returns a deep copy of this kernel with every node id
-  /// relabeled through `perm` (perm[old] = new) — mesh endpoints, node-
-  /// indexed coefficient tables, and ref() targets all move together, so
-  /// running the clone against a plan whose references were gathered
-  /// through the same `perm` performs the identical floating-point
-  /// operations at relabeled addresses. Kernels that cannot relabel
-  /// (e.g. compiler-synthesized environments) return nullptr and the
-  /// layout pass falls back to LayoutKind::None for them.
-  virtual std::unique_ptr<PhasedKernel> clone_renumbered(
-      std::span<const std::uint32_t> perm) const {
-    (void)perm;
-    return nullptr;
   }
 };
 

@@ -5,11 +5,8 @@
 #include <barrier>
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
-#include <queue>
 #include <semaphore>
 #include <span>
 #include <string>
@@ -19,7 +16,6 @@
 
 #include "inspector/plan_walk.hpp"
 #include "inspector/rotation.hpp"
-#include "mesh/mesh.hpp"
 #include "support/check.hpp"
 #include "support/cpu_features.hpp"
 
@@ -113,156 +109,6 @@ void run_per_proc(std::uint32_t P, std::uint32_t build_threads,
 /// fraction of the inspector run itself (bench_hotpath reports the
 /// overhead; the budget is <5%). Admission and `earthred check` run the
 /// exhaustive pass.
-constexpr std::uint32_t kNoIter = 0xffffffffu;
-
-/// Step 1 of the layout pass: the portion-preserving RCM permutation.
-/// A global RCM rank is computed over the kernel's reference graph (one
-/// pseudo-edge per distinct pair of reference targets of each iteration),
-/// then elements are reordered by that rank *within each rotation portion
-/// only* — every element keeps its portion, so phase assignment, buffer
-/// allocation, and fold structure are untouched and the relabeled plan is
-/// a pure isomorphism of the canonical one. Returns an empty vector when
-/// the graph gives no signal (single-reference kernels).
-std::vector<std::uint32_t> portion_preserving_perm(
-    const PhasedKernel& kernel, const RotationSchedule& sched,
-    const KernelShape& shape) {
-  mesh::Mesh graph;
-  graph.num_nodes = shape.num_nodes;
-  if (shape.num_refs >= 2) {
-    graph.edges.reserve(static_cast<std::size_t>(shape.num_edges));
-    for (std::uint64_t e = 0; e < shape.num_edges; ++e) {
-      const std::uint32_t a = kernel.ref(0, e);
-      for (std::uint32_t r = 1; r < shape.num_refs; ++r) {
-        const std::uint32_t b = kernel.ref(r, e);
-        if (a != b) graph.edges.push_back(mesh::Edge{a, b});
-      }
-    }
-  }
-  if (graph.edges.empty()) return {};
-
-  const std::vector<std::uint32_t> rank = mesh::rcm_permutation(graph);
-  std::vector<std::uint32_t> perm(shape.num_nodes);
-  std::vector<std::uint32_t> elems;
-  for (std::uint32_t pid = 0; pid < sched.num_portions(); ++pid) {
-    const std::uint32_t begin = sched.portion_begin(pid);
-    const std::uint32_t end = sched.portion_end(pid);
-    elems.resize(end - begin);
-    std::iota(elems.begin(), elems.end(), begin);
-    std::sort(elems.begin(), elems.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return rank[x] != rank[y] ? rank[x] < rank[y] : x < y;
-              });
-    for (std::uint32_t i = 0; i < elems.size(); ++i)
-      perm[elems[i]] = begin + i;
-  }
-  if (std::is_sorted(perm.begin(), perm.end())) return {};  // identity
-  return perm;
-}
-
-/// Step 2 of the layout pass: target-stable reordering of one phase.
-/// Iterations are rescheduled so scatter targets ascend (sequential
-/// stores instead of a random walk over the owned portion) under the
-/// constraint that any two iterations touching the same *element* keep
-/// their relative order — precedence-respecting list scheduling, so
-/// per-element FP accumulation order (and thus the result bits) is
-/// unchanged by construction. The chains are keyed on true (renumbered)
-/// element ids, not the redirected slots: the phased executor would stay
-/// bit-identical either way (one writer per buffer slot, folded in slot
-/// order), but the privatized executor accumulates straight into element
-/// arrays in edge order, and two iterations can share an
-/// element while holding distinct buffer slots. `last_iter`/`last_ref`
-/// are caller-owned scratch sized num_nodes and filled with kNoIter;
-/// they are restored before returning so phases can share them.
-void reorder_phase_target_stable(const PhasedKernel& kernel,
-                                 std::span<const std::uint32_t> perm,
-                                 inspector::PhaseSchedule& ph,
-                                 std::uint32_t num_refs,
-                                 std::vector<std::uint32_t>& last_iter,
-                                 std::vector<std::uint32_t>& last_ref) {
-  const std::size_t n = ph.iter_global.size();
-  const std::uint32_t R = num_refs;
-  if (n < 2 || R == 0) return;
-
-  // Per-element FIFO chains as successor links: succ[j*R + r] is the next
-  // iteration touching the element that iteration j touches through its
-  // reference slot r (kNoIter when j is the chain tail or slot r repeats
-  // an earlier slot's element within j).
-  std::vector<std::uint32_t> succ(n * R, kNoIter);
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::uint32_t> key(n);
-  std::vector<std::uint32_t> touched;
-  std::vector<std::uint32_t> truej(R);
-  for (std::size_t j = 0; j < n; ++j) {
-    std::uint32_t k = ph.indir[0][j];
-    for (std::uint32_t r = 1; r < R; ++r)
-      k = std::min(k, ph.indir[r][j]);
-    key[j] = k;
-    const std::uint32_t e = ph.iter_global[j];
-    for (std::uint32_t r = 0; r < R; ++r) {
-      const std::uint32_t raw = kernel.ref(r, e);
-      truej[r] = perm.empty() ? raw : perm[raw];
-    }
-    for (std::uint32_t r = 0; r < R; ++r) {
-      const std::uint32_t t = truej[r];
-      bool dup = false;
-      for (std::uint32_t r2 = 0; r2 < r; ++r2)
-        if (truej[r2] == t) {
-          dup = true;
-          break;
-        }
-      if (dup) continue;
-      if (last_iter[t] != kNoIter) {
-        succ[static_cast<std::size_t>(last_iter[t]) * R + last_ref[t]] =
-            static_cast<std::uint32_t>(j);
-        ++indegree[j];
-      } else {
-        touched.push_back(t);
-      }
-      last_iter[t] = static_cast<std::uint32_t>(j);
-      last_ref[t] = r;
-    }
-  }
-  for (const std::uint32_t t : touched) last_iter[t] = kNoIter;
-
-  // Kahn's algorithm with a min-heap on (scatter key, original index):
-  // always emit the ready iteration with the lowest target, ties by
-  // original position — fully deterministic.
-  using Entry = std::pair<std::uint32_t, std::uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-  for (std::size_t j = 0; j < n; ++j)
-    if (indegree[j] == 0)
-      ready.emplace(key[j], static_cast<std::uint32_t>(j));
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  while (!ready.empty()) {
-    const std::uint32_t j = ready.top().second;
-    ready.pop();
-    order.push_back(j);
-    for (std::uint32_t r = 0; r < R; ++r) {
-      const std::uint32_t s = succ[static_cast<std::size_t>(j) * R + r];
-      if (s != kNoIter && --indegree[s] == 0) ready.emplace(key[s], s);
-    }
-  }
-  ER_ENSURES(order.size() == n);  // chains are acyclic by construction
-
-  const auto permute = [&](inspector::U32Buf& buf) {
-    std::vector<std::uint32_t> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = buf[order[i]];
-    buf = inspector::U32Buf(std::move(out));
-  };
-  permute(ph.iter_global);
-  permute(ph.iter_local);
-  for (std::uint32_t r = 0; r < R; ++r) permute(ph.indir[r]);
-  ph.flatten_indir();
-}
-
-/// Rough bytes streamed per iteration by the batched loops (indices plus
-/// edge data plus one gathered double per reference) — only the scale
-/// matters, the tile size is clamped anyway.
-std::uint32_t layout_bytes_per_iter(std::uint32_t num_refs) {
-  return 4u * (num_refs + 1) + 8u * num_refs + 24u;
-}
-
 void verify_or_throw(const ExecutionPlan& plan, const char* what) {
   inspector::PlanVerifyOptions vopt;
   vopt.exhaustive = false;
@@ -287,7 +133,6 @@ std::uint64_t ExecutionPlan::byte_size() const {
   bytes += insp.capacity() * sizeof(InspectorResult);
   for (const InspectorResult& r : insp)
     bytes += inspector::inspector_byte_size(r);
-  bytes += perm.footprint_bytes() + perm_inv.footprint_bytes();
   return bytes;
 }
 
@@ -306,30 +151,7 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
   const std::uint32_t P = opt.num_procs;
   ExecutionPlan plan{shape, opt,
                      RotationSchedule(shape.num_nodes, P, opt.k),
-                     {}, 0.0, nullptr, {}, {}, LayoutKind::None, 0};
-
-  // ---- layout pass, step 1 (core/layout.hpp) --------------------------
-  // Resolve the request (environment override included) and compute the
-  // portion-preserving permutation. The effective kind is written back
-  // into plan.options so the plan and its cache/store key can never
-  // disagree about what was built.
-  const LayoutKind requested = effective_layout(opt.layout);
-  plan.options.layout = requested;
-  std::vector<std::uint32_t> perm;
-  if (requested != LayoutKind::None) {
-    perm = portion_preserving_perm(kernel, plan.sched, shape);
-    bool renumberable = true;
-    if (!perm.empty()) renumberable = kernel.clone_renumbered(perm) != nullptr;
-    if (renumberable) {
-      plan.applied_layout = LayoutKind::Rcm;
-    } else if (requested == LayoutKind::Auto) {
-      perm.clear();  // fall back: paper-faithful plan
-    } else {
-      throw check_error(
-          "E-LAYOUT-UNSUPPORTED: layout=rcm requires a kernel that "
-          "implements clone_renumbered");
-    }
-  }
+                     {}, 0.0, nullptr};
 
   auto owned_iters = inspector::distribute_iterations(
       shape.num_edges, P, opt.distribution, opt.block_cyclic_size);
@@ -338,49 +160,20 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
   // Each processor's reference gather + inspector run is independent and
   // deterministic, so any worker may build any p and the plan comes out
   // byte-identical to a serial build (test_batch_equivalence asserts it).
-  // Under a layout the references are gathered *through the permutation*
-  // — the plan is exactly what a fresh build against the renumbered
-  // kernel clone would produce — and each finished phase is reordered
-  // target-stable (step 2).
   const auto build_one = [&](std::uint32_t p) {
     inspector::IterationRefs refs;
     refs.global_iter = std::move(owned_iters[p]);
     refs.refs.resize(shape.num_refs);
     for (std::uint32_t r = 0; r < shape.num_refs; ++r) {
       refs.refs[r].reserve(refs.global_iter.size());
-      if (perm.empty()) {
-        for (std::uint32_t e : refs.global_iter)
-          refs.refs[r].push_back(kernel.ref(r, e));
-      } else {
-        for (std::uint32_t e : refs.global_iter)
-          refs.refs[r].push_back(perm[kernel.ref(r, e)]);
-      }
+      for (std::uint32_t e : refs.global_iter)
+        refs.refs[r].push_back(kernel.ref(r, e));
     }
     plan.insp[p] =
         inspector::run_light_inspector(plan.sched, p, refs, opt.inspector);
-    if (plan.applied_layout != LayoutKind::None) {
-      std::vector<std::uint32_t> last_iter(shape.num_nodes, kNoIter);
-      std::vector<std::uint32_t> last_ref(last_iter.size(), 0);
-      for (inspector::PhaseSchedule& ph : plan.insp[p].phases)
-        reorder_phase_target_stable(kernel, perm, ph, shape.num_refs,
-                                    last_iter, last_ref);
-    }
   };
 
   run_per_proc(P, opt.build_threads, shape.num_edges, build_one);
-
-  // Step 3: cache-blocked tile size for the batched loops; 0 (untiled)
-  // whenever the layout is None so the default hot path is untouched.
-  if (plan.applied_layout != LayoutKind::None) {
-    plan.tile_iters = layout_tile_iters(
-        layout_bytes_per_iter(shape.num_refs), opt.layout_tile_iters);
-    if (!perm.empty()) {
-      std::vector<std::uint32_t> inv(perm.size());
-      for (std::uint32_t v = 0; v < perm.size(); ++v) inv[perm[v]] = v;
-      plan.perm = inspector::U32Buf(std::move(perm));
-      plan.perm_inv = inspector::U32Buf(std::move(inv));
-    }
-  }
 
   plan.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -403,14 +196,6 @@ ExecutionPlan patch_execution_plan(
                      shape.num_node_read_arrays ==
                          previous.shape.num_node_read_arrays,
                  "incremental re-plan requires an identically-shaped kernel");
-  // Layout bases interleave the inspector's canonical iteration order
-  // with the target-stable reorder, which the sparse updater cannot patch
-  // through. Builds are deterministic, so rebuilding under the base's
-  // options is bit-identical to a fresh build — the patch contract — just
-  // not incremental; the PlanCache counts this fallback separately.
-  if (previous.applied_layout != LayoutKind::None ||
-      previous.options.layout != LayoutKind::None)
-    return build_execution_plan(kernel, previous.options);
   ER_EXPECTS_MSG(!opt.inspector.dedup_buffers,
                  "incremental re-plan supports the paper's one-slot-per-"
                  "reference scheme only");
@@ -420,8 +205,7 @@ ExecutionPlan patch_execution_plan(
   // The patched plan keeps the base's schedule and storage handle:
   // untouched phases may still be zero-copy views into a plan-store
   // mapping owned by `previous`.
-  ExecutionPlan plan{shape, opt, previous.sched, {}, 0.0, previous.storage,
-                     {},    {},  LayoutKind::None, 0};
+  ExecutionPlan plan{shape, opt, previous.sched, {}, 0.0, previous.storage};
   plan.insp.resize(P);
 
   // The iteration distribution depends only on (num_edges, P,
@@ -500,10 +284,7 @@ inspector::PlanVerifyReport verify_execution_plan(
   // through its buffer slot — to the element the kernel's indirection
   // names for that (ref, iteration). This catches plans that satisfy
   // every rotation invariant but belong to a *different* kernel (stale
-  // or aliased cache entries). A layout plan's references live in the
-  // relabeled element space, so the expectation is mapped through the
-  // plan's permutation.
-  const inspector::U32Buf& perm = plan.perm;
+  // or aliased cache entries).
   const std::uint32_t n_elems = plan.sched.num_elements();
   for (std::uint32_t p = 0; p < plan.insp.size(); ++p) {
     const InspectorResult& insp = plan.insp[p];
@@ -514,10 +295,8 @@ inspector::PlanVerifyReport verify_execution_plan(
         for (std::size_t j = 0; j < n; ++j) {
           const std::uint64_t g = phase.iter_global[j];
           if (g >= plan.shape.num_edges) continue;  // already E-PLAN-OOB
-          std::uint32_t expected =
+          const std::uint32_t expected =
               kernel->ref(static_cast<std::uint32_t>(r), g);
-          if (!perm.empty() && expected < perm.size())
-            expected = perm[expected];
           const std::uint32_t v = phase.indir[r][j];
           std::uint32_t actual = v;
           if (v >= n_elems) {
@@ -738,7 +517,6 @@ NativeResult run_phased(const PhasedKernel& kernel,
             view.indir = phase.indir_flat;
             view.num_iters = iters;
             view.num_refs = shape.num_refs;
-            view.tile_iters = plan.tile_iters;
             kernel.compute_phase(ctx, tags, view, ps);
           } else {
             for (std::size_t j = 0; j < iters; ++j) {
@@ -928,7 +706,6 @@ NativeResult run_privatized(const PhasedKernel& kernel,
             view.indir = flat;
             view.num_iters = iters;
             view.num_refs = R;
-            view.tile_iters = plan.tile_iters;
             kernel.compute_phase(ctx, tags, view, ps);
           } else {
             for (std::size_t j = 0; j < iters; ++j) {
@@ -1002,47 +779,18 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
       plan.options.strategy,
       strategy_inputs(shape, plan.options.num_procs, plan.options.k));
 
-  // Layout plans address the relabeled element space: every executor runs
-  // against a renumbered clone of the kernel and the result arrays are
-  // un-permuted at read-out, so callers never see the relabeling.
-  std::unique_ptr<PhasedKernel> renumbered;
-  const PhasedKernel* exec = &kernel;
-  if (!plan.perm.empty()) {
-    ER_CHECK_MSG(plan.perm.size() == shape.num_nodes,
-                 "layout permutation does not match the kernel's node count");
-    renumbered = kernel.clone_renumbered(plan.perm);
-    ER_CHECK_MSG(renumbered != nullptr,
-                 "E-LAYOUT-UNSUPPORTED: plan carries a layout permutation "
-                 "but the kernel cannot renumber");
-    exec = renumbered.get();
-  }
-
   NativeResult result;
   switch (strategy) {
     case StrategyKind::Privatized:
-      result = run_privatized(*exec, plan, opt);
+      result = run_privatized(kernel, plan, opt);
       break;
     case StrategyKind::Auto:  // unreachable after resolution
     case StrategyKind::Phased:
-      result = run_phased(*exec, plan, opt);
+      result = run_phased(kernel, plan, opt);
       break;
   }
   result.strategy = strategy;
 
-  if (!plan.perm.empty()) {
-    // res_old[a][v] = res_new[a][perm[v]] — one gather per array.
-    std::vector<double> tmp;
-    const auto unpermute = [&](std::vector<std::vector<double>>& arrs) {
-      for (std::vector<double>& a : arrs) {
-        tmp.resize(a.size());
-        for (std::uint32_t v = 0; v < shape.num_nodes; ++v)
-          tmp[v] = a[plan.perm[v]];
-        a.swap(tmp);
-      }
-    };
-    unpermute(result.reduction);
-    unpermute(result.node_read);
-  }
   return result;
 }
 

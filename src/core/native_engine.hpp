@@ -30,7 +30,6 @@
 #include <span>
 
 #include "core/kernel.hpp"
-#include "core/layout.hpp"
 #include "core/strategy.hpp"
 #include "inspector/distribution.hpp"
 #include "inspector/light_inspector.hpp"
@@ -74,21 +73,14 @@ struct PlanOptions {
   /// header. Appended last so positional aggregate initializers written
   /// before the field existed stay valid.
   StrategyKind strategy = StrategyKind::Auto;
-  /// Locality layout (core/layout.hpp): None reproduces the paper's plan
-  /// exactly; Rcm/Auto run the three-step layout pass inside
-  /// build_execution_plan. Results are bit-identical across layouts by
-  /// construction, but the plan *bytes* differ, so — like strategy — this
-  /// is part of the PlanCache key, the plan-store path, the persisted
-  /// header, and the shard content key. Appended after `strategy` for the
-  /// same positional-initializer reason.
-  LayoutKind layout = LayoutKind::None;
-  /// Override for the cache-blocked tile size (iterations per tile) the
-  /// layout pass computes from the detected cache geometry; 0 = derive
-  /// via core::layout_tile_iters. Ignored when the effective layout is
-  /// None. Part of the plan (and thus the key) because it changes
-  /// ExecutionPlan::tile_iters.
-  std::uint32_t layout_tile_iters = 0;
 };
+
+/// Compatibility shim for the frozen benchmark harness (bench/e2e), which
+/// still reads `plan.applied_layout != LayoutKind::None` to report
+/// `core.layout_applied`. Plans have no layout pass, so the value is a
+/// compile-time constant; the shim goes when a benchmark change drops
+/// that metric.
+enum class LayoutKind : std::uint8_t { None = 0 };
 
 /// The reusable preprocessing product: rotation schedule plus one
 /// LightInspector result per processor. Immutable after build —
@@ -112,24 +104,8 @@ struct ExecutionPlan {
   /// the base's mapping.
   std::shared_ptr<const void> storage;
 
-  // ---- layout products (core/layout.hpp) ------------------------------
-  /// Node renumbering applied by the layout pass: perm[old] = new,
-  /// perm_inv[new] = old. Empty = identity (no renumbering — either the
-  /// layout is None, or the pass degenerated to the identity). When
-  /// non-empty, the plan's redirected references live in the *relabeled*
-  /// element space: run_native_plan executes a renumbered clone of the
-  /// kernel (PhasedKernel::clone_renumbered) and un-permutes the result
-  /// arrays at read-out. U32Buf so loaded plans adopt zero-copy views.
-  inspector::U32Buf perm;
-  inspector::U32Buf perm_inv;
-  /// What the layout pass actually did: Rcm when the three-step pass ran,
-  /// None when options.layout was None or Auto fell back (kernel cannot
-  /// renumber). Never Auto.
-  LayoutKind applied_layout = LayoutKind::None;
-  /// Cache-blocking tile size for the batched phase loops (0 = untiled;
-  /// always 0 when applied_layout is None, preserving the pre-layout hot
-  /// path exactly).
-  std::uint32_t tile_iters = 0;
+  /// Always None: see LayoutKind above.
+  static constexpr LayoutKind applied_layout = LayoutKind::None;
 
   /// Approximate heap footprint in bytes (drives PlanCache LRU budgets).
   std::uint64_t byte_size() const;

@@ -77,19 +77,21 @@ bool decode_header(std::span<const std::byte> bytes, PlanFileHeader* out,
                           h.strategy));
   h.payload_bytes = r.u64();
   h.payload_checksum = r.u64();
-  // v2: layout kinds + tile size.
-  h.layout = r.u32();
-  h.applied_layout = r.u32();
-  h.tile_iters = r.u32();
+  // v2 reserved fields (once the retired layout pass's kinds and tile
+  // size): a nonzero value is a plan this build cannot run as written.
+  std::uint32_t reserved[3] = {};
+  for (std::uint32_t& v : reserved) v = r.u32();
   r.u32();  // pad
   if (r.fail())
     return fail("E-STORE-TRUNC",
                 strformat("file holds %zu bytes, the header alone is %zu",
                           bytes.size(), kPlanHeaderBytes));
-  if (h.layout > 2 || h.applied_layout > 2)
-    return fail("E-STORE-PARSE",
-                strformat("unknown layout kind %u/%u in header", h.layout,
-                          h.applied_layout));
+  for (std::size_t i = 0; i < 3; ++i)
+    if (reserved[i] != 0)
+      return fail("E-STORE-PARSE",
+                  strformat("reserved header field %zu at offset %zu reads "
+                            "%u, expected 0 (retired layout pass)",
+                            i, 96 + 4 * i, reserved[i]));
   if (out) *out = h;
   return true;
 }
@@ -102,7 +104,7 @@ bool decode_header(std::span<const std::byte> bytes, PlanFileHeader* out,
 /// cover semantic mismatches).
 bool parse_payload(const PlanFileHeader& h,
                    std::span<const std::byte> payload, ExecutionPlan* plan,
-                   std::string* code, std::string* detail) {
+                   std::string* detail) {
   const auto fail = [&](std::string d) {
     if (detail) *detail = std::move(d);
     return false;
@@ -110,29 +112,16 @@ bool parse_payload(const PlanFileHeader& h,
   ByteReader r(payload);
   plan->build_seconds = r.f64();
 
-  // v2: the layout permutation (and inverse) ride ahead of the inspector
-  // records. Either both empty (no renumbering) or both num_nodes long
-  // and mutually inverse bijections — anything else is E-STORE-PERM, a
-  // coded rejection, never a crash at execution time.
-  plan->perm.adopt(r.u32_array());
-  plan->perm_inv.adopt(r.u32_array());
-  if (r.fail()) return fail("payload ends inside the layout permutation");
-  const std::size_t np = plan->perm.size();
-  if (np != plan->perm_inv.size() || (np != 0 && np != h.num_nodes)) {
-    if (code) *code = "E-STORE-PERM";
-    return fail(strformat("layout permutation arrays hold %zu/%zu entries "
-                          "for %u nodes",
-                          np, plan->perm_inv.size(), h.num_nodes));
-  }
-  for (std::size_t v = 0; v < np; ++v) {
-    const std::uint32_t pv = plan->perm[v];
-    if (pv >= np || plan->perm_inv[pv] != v) {
-      if (code) *code = "E-STORE-PERM";
-      return fail(strformat("layout permutation is not a bijection at "
-                            "element %zu",
-                            v));
-    }
-  }
+  // v2: two reserved arrays (once the retired layout pass's node
+  // permutation and its inverse) ride ahead of the inspector records and
+  // must be empty.
+  const std::size_t reserved0 = r.u32_array().size();
+  const std::size_t reserved1 = r.u32_array().size();
+  if (r.fail()) return fail("payload ends inside the reserved arrays");
+  if (reserved0 != 0 || reserved1 != 0)
+    return fail(strformat("reserved payload arrays hold %zu/%zu entries, "
+                          "expected 0 (retired layout pass)",
+                          reserved0, reserved1));
 
   const std::uint64_t phases_per_proc =
       static_cast<std::uint64_t>(h.k) * h.num_procs;
@@ -211,8 +200,8 @@ std::vector<std::byte> serialize_plan(const ExecutionPlan& plan,
                                       std::uint64_t content_hash) {
   ByteWriter payload;
   payload.f64(plan.build_seconds);
-  payload.u32_array(plan.perm);
-  payload.u32_array(plan.perm_inv);
+  payload.u32_array({});  // reserved
+  payload.u32_array({});  // reserved
   for (const inspector::InspectorResult& insp : plan.insp) {
     payload.u32(insp.num_buffer_slots);
     payload.u32(0);  // pad
@@ -251,9 +240,7 @@ std::vector<std::byte> serialize_plan(const ExecutionPlan& plan,
   file.u32(static_cast<std::uint32_t>(plan.options.strategy));
   file.u64(payload.size());
   file.u64(support::fast_hash64(payload.bytes().data(), payload.size()));
-  file.u32(static_cast<std::uint32_t>(plan.options.layout));
-  file.u32(static_cast<std::uint32_t>(plan.applied_layout));
-  file.u32(plan.tile_iters);
+  for (int i = 0; i < 3; ++i) file.u32(0);  // reserved
   file.u32(0);  // pad to the 112-byte header
 
   std::vector<std::byte> out;
@@ -341,17 +328,12 @@ PlanLoadResult load_plan_file(const std::string& path) {
   plan.options.block_cyclic_size = h.block_cyclic_size;
   plan.options.inspector.dedup_buffers = h.dedup_buffers != 0;
   plan.options.strategy = static_cast<StrategyKind>(h.strategy);
-  plan.options.layout = static_cast<LayoutKind>(h.layout);
-  plan.applied_layout = static_cast<LayoutKind>(h.applied_layout);
-  plan.tile_iters = h.tile_iters;
   // The load itself is the proof; re-verification on use is the
   // admission paths' call, not an obligation baked into the plan.
   plan.options.verify = false;
 
-  std::string parse_code = "E-STORE-PARSE";
   std::string parse_detail;
-  const bool parsed =
-      parse_payload(h, payload, &plan, &parse_code, &parse_detail);
+  const bool parsed = parse_payload(h, payload, &plan, &parse_detail);
 
   checksum_thread.join();
   // Corruption names its root cause: a flipped bit usually breaks the
@@ -359,7 +341,7 @@ PlanLoadResult load_plan_file(const std::string& path) {
   if (checksum != h.payload_checksum)
     return rejected("E-STORE-CHECKSUM", "payload hash mismatch");
   if (!parsed)
-    return rejected(std::move(parse_code), std::move(parse_detail));
+    return rejected("E-STORE-PARSE", std::move(parse_detail));
 
   // Budget-mode verification: the same invariant set the producer's
   // fingerprint promises, proven against *these* bytes.
@@ -394,11 +376,7 @@ bool plans_bit_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
       a.options.distribution != b.options.distribution ||
       a.options.inspector.dedup_buffers !=
           b.options.inspector.dedup_buffers ||
-      a.options.strategy != b.options.strategy ||
-      a.options.layout != b.options.layout ||
-      a.applied_layout != b.applied_layout ||
-      a.tile_iters != b.tile_iters || !(a.perm == b.perm) ||
-      !(a.perm_inv == b.perm_inv))
+      a.options.strategy != b.options.strategy)
     return false;
   if (a.options.distribution == inspector::Distribution::BlockCyclic &&
       a.options.block_cyclic_size != b.options.block_cyclic_size)

@@ -18,16 +18,14 @@
 //           what pre-strategy files wrote as their reserved field)
 //       80  u64 payload_bytes
 //       88  u64 payload_checksum      support::fast_hash64 of the payload
-//       96  u32 layout (requested LayoutKind), applied_layout,
-//           tile_iters, pad          (new in format v2)
+//       96  u32 reserved[3], pad     (must read 0)
 //
-// The payload serializes build_seconds, the layout permutation and its
-// inverse (empty arrays when the plan carries no renumbering), then each
-// processor's inspector output, every u32 array as a count +
-// 8-byte-aligned data — the
-// alignment that lets load_plan_file adopt the arrays as views into the
-// file's memory mapping (zero-copy warm start; the mapping's lifetime is
-// held by ExecutionPlan::storage). Per-phase `indir` rows are not
+// The payload serializes build_seconds, two reserved u32 arrays that
+// must be empty, then each processor's inspector output, every u32 array
+// as a count + 8-byte-aligned data — the alignment that lets
+// load_plan_file adopt the arrays as views into the file's memory mapping
+// (zero-copy warm start; the mapping's lifetime is held by
+// ExecutionPlan::storage). Per-phase `indir` rows are not
 // serialized: only the flattened ref-major block is stored and the loader
 // reconstructs row r as the subspan indir_flat[r*n, (r+1)*n) — exactly
 // the flatten invariant the verifier's E-PLAN-FLAT check enforces, proven
@@ -48,8 +46,8 @@
 //   E-STORE-VERIFIER  persisted under a different invariant set
 //   E-STORE-CHECKSUM  payload hash mismatch (reported in preference to
 //                     parse/verify failures: corruption names its cause)
-//   E-STORE-PARSE     structurally inconsistent with the header counts
-//   E-STORE-PERM      layout permutation is truncated or not a bijection
+//   E-STORE-PARSE     structurally inconsistent with the header counts,
+//                     or a reserved field that does not read 0
 //   E-STORE-VERIFY    parsed, but failed the budget-mode plan verifier
 //   E-STORE-KEY       (PlanStore::load) header identity does not match
 //                     the requested key
@@ -66,9 +64,11 @@
 namespace earthred::core {
 
 inline constexpr std::uint64_t kPlanMagic = 0x31304e414c505245ull;  // "ERPLAN01"
-/// v2 (layout): header grew 96 -> 112 bytes (layout kinds + tile size at
-/// offset 96) and the payload gained the permutation arrays right after
-/// build_seconds. No cross-version reads — plans are always rebuildable.
+/// v2: header grew 96 -> 112 bytes (three reserved u32s and a pad at
+/// offset 96) and the payload gained two reserved arrays right after
+/// build_seconds. A retired plan-layout pass once used those fields;
+/// every file this build writes or reads holds zeros there. No
+/// cross-version reads — plans are always rebuildable.
 inline constexpr std::uint32_t kPlanFormatVersion = 2;
 inline constexpr std::uint32_t kPlanEndianTag = 0x01020304u;
 inline constexpr std::size_t kPlanHeaderBytes = 112;
@@ -93,12 +93,6 @@ struct PlanFileHeader {
   std::uint32_t strategy = 0;
   std::uint64_t payload_bytes = 0;
   std::uint64_t payload_checksum = 0;
-  /// Requested LayoutKind as u32 (0 == None).
-  std::uint32_t layout = 0;
-  /// LayoutKind the build actually applied (never Auto).
-  std::uint32_t applied_layout = 0;
-  /// Cache-blocking tile size (0 = untiled).
-  std::uint32_t tile_iters = 0;
 };
 
 /// Outcome of load_plan_file / PlanStore::load: either a validated plan

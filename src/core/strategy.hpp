@@ -74,10 +74,6 @@ struct StrategyInputs {
   std::uint32_t num_reduction_arrays = 1;
   std::uint32_t num_procs = 1;
   std::uint32_t k = 1;
-  /// Mean scatter fan-in (updates per target element); 0 when unknown.
-  /// Not scored — the compiler pass derives its layout line-reuse
-  /// estimate from it.
-  double fanin_mean = 0.0;
   /// Hardware threads backing the run. 0 = unknown / not modeled — the
   /// compiler's static pass scores for a dedicated P-thread host. When
   /// the plan oversubscribes the host (num_procs > hw_threads), a

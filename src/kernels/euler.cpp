@@ -122,7 +122,6 @@ void EulerKernel::compute_phase(earth::FiberContext& ctx,
       .dvel = arrays.reduction[kVel].data(),
       .dpre = arrays.reduction[kPre].data(),
       .n = phase.num_iters,
-      .tile = phase.tile_iters,
   });
   ctx.charge_flops(52 * phase.num_iters);
 }
@@ -144,17 +143,6 @@ void EulerKernel::update_nodes(earth::FiberContext& ctx,
     arrays.node_read[kVel][v] += dt_ * arrays.reduction[kVel][i];
     arrays.node_read[kPre][v] += dt_ * arrays.reduction[kPre][i];
   }
-}
-
-std::unique_ptr<core::PhasedKernel> EulerKernel::clone_renumbered(
-    std::span<const std::uint32_t> perm) const {
-  // renumber() moves coordinates with their nodes and keeps edge order,
-  // so the copied coef_ equals what the constructor would recompute from
-  // the relabeled mesh bit for bit, and init_node_arrays produces the
-  // permuted initial state.
-  auto clone = std::unique_ptr<EulerKernel>(new EulerKernel(*this));
-  clone->mesh_ = mesh::renumber(mesh_, perm);
-  return clone;
 }
 
 }  // namespace earthred::kernels

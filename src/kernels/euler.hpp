@@ -42,9 +42,6 @@ class EulerKernel final : public core::PhasedKernel {
                     std::uint32_t base,
                     core::ProcArrays& arrays) const override;
 
-  std::unique_ptr<core::PhasedKernel> clone_renumbered(
-      std::span<const std::uint32_t> perm) const override;
-
   const mesh::Mesh& mesh() const noexcept { return mesh_; }
 
  private:

@@ -69,7 +69,6 @@ void Fig1Kernel::compute_phase(earth::FiberContext& ctx,
       .c = c_,
       .x = arrays.reduction[0].data(),
       .n = phase.num_iters,
-      .tile = phase.tile_iters,
   });
   ctx.charge_flops(3 * phase.num_iters);
 }
@@ -77,15 +76,5 @@ void Fig1Kernel::compute_phase(earth::FiberContext& ctx,
 void Fig1Kernel::update_nodes(earth::FiberContext&, const core::CostTags&,
                               std::uint32_t, std::uint32_t, std::uint32_t,
                               core::ProcArrays&) const {}
-
-std::unique_ptr<core::PhasedKernel> Fig1Kernel::clone_renumbered(
-    std::span<const std::uint32_t> perm) const {
-  // Edge order and edge values are untouched; only the endpoint labels
-  // move, so every contribution lands in the relabeled slot of the same
-  // target.
-  auto clone = std::unique_ptr<Fig1Kernel>(new Fig1Kernel(*this));
-  clone->mesh_ = mesh::renumber(mesh_, perm);
-  return clone;
-}
 
 }  // namespace earthred::kernels

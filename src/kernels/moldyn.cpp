@@ -96,7 +96,6 @@ void MoldynKernel::compute_phase(earth::FiberContext& ctx,
       .fy = arrays.reduction[1].data(),
       .fz = arrays.reduction[2].data(),
       .n = phase.num_iters,
-      .tile = phase.tile_iters,
   });
   ctx.charge_flops(49 * phase.num_iters);
 }
@@ -117,13 +116,6 @@ void MoldynKernel::update_nodes(earth::FiberContext& ctx,
       arrays.node_read[ra][v] += dt_ * arrays.reduction[ra][i];
     }
   }
-}
-
-std::unique_ptr<core::PhasedKernel> MoldynKernel::clone_renumbered(
-    std::span<const std::uint32_t> perm) const {
-  auto clone = std::unique_ptr<MoldynKernel>(new MoldynKernel(*this));
-  clone->mesh_ = mesh::renumber(mesh_, perm);
-  return clone;
 }
 
 }  // namespace earthred::kernels

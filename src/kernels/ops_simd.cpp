@@ -302,10 +302,10 @@ ER_TGT_AVX512 void spmv_t_avx512(const SpmvTArgs& a) {
 
 #endif  // ER_HAS_AVX512
 
-// Untiled dispatch: the AVX-512 loops when the host reports AVX-512F,
-// the scalar loops otherwise. The cached feature probe is read on every
-// call (one load and a branch per phase or tile), so a test override
-// through support::set_cpu_features_for_test takes effect immediately.
+// Dispatch: the AVX-512 loops when the host reports AVX-512F, the scalar
+// loops otherwise. The cached feature probe is read on every call (one
+// load and a branch per phase), so a test override through
+// support::set_cpu_features_for_test takes effect immediately.
 bool use_avx512() {
 #if ER_HAS_AVX512
   return support::host_cpu_features().avx512f;
@@ -314,148 +314,34 @@ bool use_avx512() {
 #endif
 }
 
-void fig1_untiled(const Fig1Args& a) {
+}  // namespace
+
+void fig1_phase(const Fig1Args& a) {
 #if ER_HAS_AVX512
   if (use_avx512()) return fig1_avx512(a);
 #endif
   fig1_scalar(a);
 }
 
-void euler_untiled(const EulerArgs& a) {
+void euler_phase(const EulerArgs& a) {
 #if ER_HAS_AVX512
   if (use_avx512()) return euler_avx512(a);
 #endif
   euler_scalar(a);
 }
 
-void moldyn_untiled(const MoldynArgs& a) {
+void moldyn_phase(const MoldynArgs& a) {
 #if ER_HAS_AVX512
   if (use_avx512()) return moldyn_avx512(a);
 #endif
   moldyn_scalar(a);
 }
 
-void spmv_t_untiled(const SpmvTArgs& a) {
+void spmv_t_phase(const SpmvTArgs& a) {
 #if ER_HAS_AVX512
   if (use_avx512()) return spmv_t_avx512(a);
 #endif
   spmv_t_scalar(a);
-}
-
-// Software prefetch into a low cache level, read-only. A no-op on
-// compilers without the builtin — tiling still works, just without the
-// early line fetch.
-#if defined(__GNUC__) || defined(__clang__)
-#define ER_PREFETCH(p) __builtin_prefetch((p), 0, 1)
-#else
-#define ER_PREFETCH(p) ((void)(p))
-#endif
-
-// Cache-tile drivers: run the phase one tile at a time, prefetching the
-// *next* tile's gather lines before computing the current one. The
-// gather targets (y[eg[j]], edges[eg[j]], ...) are the only
-// data-dependent loads whose addresses are known ahead of the compute
-// loop, so they are what the layout pass's tiling buys back after the
-// target-stable edge sort randomizes edge-data order. Each tile runs the
-// same j-ascending loop as the untiled path, so evaluation order — and
-// therefore every result bit — is unchanged; only memory-issue distance
-// moves.
-
-void fig1_tiled(const Fig1Args& a) {
-  const std::size_t tile = a.tile;
-  for (std::size_t base = 0; base < a.n; base += tile) {
-    const std::size_t len = std::min(tile, a.n - base);
-    const std::size_t next_end = std::min(a.n, base + len + tile);
-    for (std::size_t j = base + len; j < next_end; ++j)
-      ER_PREFETCH(&a.y[a.eg[j]]);
-    Fig1Args sub = a;
-    sub.ia1 += base;
-    sub.ia2 += base;
-    sub.eg += base;
-    sub.n = len;
-    sub.tile = 0;
-    fig1_untiled(sub);
-  }
-}
-
-void euler_tiled(const EulerArgs& a) {
-  const std::size_t tile = a.tile;
-  for (std::size_t base = 0; base < a.n; base += tile) {
-    const std::size_t len = std::min(tile, a.n - base);
-    const std::size_t next_end = std::min(a.n, base + len + tile);
-    for (std::size_t j = base + len; j < next_end; ++j) {
-      const std::uint32_t e = a.eg[j];
-      ER_PREFETCH(&a.edges[e]);
-      ER_PREFETCH(&a.coef[e]);
-    }
-    EulerArgs sub = a;
-    sub.ia1 += base;
-    sub.ia2 += base;
-    sub.eg += base;
-    sub.n = len;
-    sub.tile = 0;
-    euler_untiled(sub);
-  }
-}
-
-void moldyn_tiled(const MoldynArgs& a) {
-  const std::size_t tile = a.tile;
-  for (std::size_t base = 0; base < a.n; base += tile) {
-    const std::size_t len = std::min(tile, a.n - base);
-    const std::size_t next_end = std::min(a.n, base + len + tile);
-    for (std::size_t j = base + len; j < next_end; ++j)
-      ER_PREFETCH(&a.edges[a.eg[j]]);
-    MoldynArgs sub = a;
-    sub.ia1 += base;
-    sub.ia2 += base;
-    sub.eg += base;
-    sub.n = len;
-    sub.tile = 0;
-    moldyn_untiled(sub);
-  }
-}
-
-void spmv_t_tiled(const SpmvTArgs& a) {
-  const std::size_t tile = a.tile;
-  for (std::size_t base = 0; base < a.n; base += tile) {
-    const std::size_t len = std::min(tile, a.n - base);
-    const std::size_t next_end = std::min(a.n, base + len + tile);
-    for (std::size_t j = base + len; j < next_end; ++j) {
-      const std::uint32_t e = a.eg[j];
-      ER_PREFETCH(&a.val[e]);
-      ER_PREFETCH(&a.row[e]);
-    }
-    SpmvTArgs sub = a;
-    sub.ia += base;
-    sub.eg += base;
-    sub.n = len;
-    sub.tile = 0;
-    spmv_t_untiled(sub);
-  }
-}
-
-#undef ER_PREFETCH
-
-}  // namespace
-
-void fig1_phase(const Fig1Args& a) {
-  if (a.tile != 0 && a.n > a.tile) return fig1_tiled(a);
-  fig1_untiled(a);
-}
-
-void euler_phase(const EulerArgs& a) {
-  if (a.tile != 0 && a.n > a.tile) return euler_tiled(a);
-  euler_untiled(a);
-}
-
-void moldyn_phase(const MoldynArgs& a) {
-  if (a.tile != 0 && a.n > a.tile) return moldyn_tiled(a);
-  moldyn_untiled(a);
-}
-
-void spmv_t_phase(const SpmvTArgs& a) {
-  if (a.tile != 0 && a.n > a.tile) return spmv_t_tiled(a);
-  spmv_t_untiled(a);
 }
 
 const char* batch_tier() { return use_avx512() ? "avx512" : "scalar"; }

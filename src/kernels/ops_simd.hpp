@@ -13,13 +13,6 @@
 // with -ffp-contract=off), while the scatter accumulation into reduction
 // arrays is always scalar and j-ascending, because accumulation *order*
 // is the contract.
-//
-// Cache-blocked tiling: when an Args struct carries a non-zero `tile`
-// (from the plan's layout pass, core/layout.hpp), the dispatch functions
-// cut the phase into tiles of that many iterations and software-prefetch
-// the next tile's gather lines before running the current one. Tiling
-// never changes evaluation order — each tile runs the same j-ascending
-// loop — so it is bit-safe under both tiers.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,7 +30,6 @@ struct Fig1Args {
   double c = 0.0;
   double* x = nullptr;
   std::size_t n = 0;
-  std::uint32_t tile = 0;  ///< iterations per cache tile; 0 = untiled
 };
 
 /// euler: edge flux from gathered vel/pre, equal-and-opposite scatter.
@@ -52,7 +44,6 @@ struct EulerArgs {
   double* dvel = nullptr;
   double* dpre = nullptr;
   std::size_t n = 0;
-  std::uint32_t tile = 0;  ///< iterations per cache tile; 0 = untiled
 };
 
 /// moldyn: clamped Lennard-Jones force from gathered positions.
@@ -68,7 +59,6 @@ struct MoldynArgs {
   double* fy = nullptr;
   double* fz = nullptr;
   std::size_t n = 0;
-  std::uint32_t tile = 0;  ///< iterations per cache tile; 0 = untiled
 };
 
 /// spmv_t: y[ia[j]] += val[eg[j]] * x[row[eg[j]]].
@@ -80,7 +70,6 @@ struct SpmvTArgs {
   const double* x = nullptr;
   double* y = nullptr;
   std::size_t n = 0;
-  std::uint32_t tile = 0;  ///< iterations per cache tile; 0 = untiled
 };
 
 void fig1_phase(const Fig1Args& a);

@@ -74,7 +74,6 @@ void SpmvTKernel::compute_phase(earth::FiberContext& ctx,
       .x = x_.data(),
       .y = arrays.reduction[0].data(),
       .n = phase.num_iters,
-      .tile = phase.tile_iters,
   });
   ctx.charge_flops(2 * phase.num_iters);
 }
@@ -82,16 +81,6 @@ void SpmvTKernel::compute_phase(earth::FiberContext& ctx,
 void SpmvTKernel::update_nodes(earth::FiberContext&, const core::CostTags&,
                                std::uint32_t, std::uint32_t, std::uint32_t,
                                core::ProcArrays&) const {}
-
-std::unique_ptr<core::PhasedKernel> SpmvTKernel::clone_renumbered(
-    std::span<const std::uint32_t> perm) const {
-  // Only the output labels (column ids) are nodes here; the gather side
-  // (row_, val_, x_) streams with the nonzero and is untouched.
-  ER_EXPECTS(perm.size() == ncols_);
-  auto clone = std::unique_ptr<SpmvTKernel>(new SpmvTKernel(*this));
-  for (std::uint32_t& c : clone->col_) c = perm[c];
-  return clone;
-}
 
 std::vector<double> SpmvTKernel::reference() const {
   std::vector<double> y(ncols_, 0.0);

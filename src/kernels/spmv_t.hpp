@@ -40,9 +40,6 @@ class SpmvTKernel final : public core::PhasedKernel {
                     std::uint32_t base,
                     core::ProcArrays& arrays) const override;
 
-  std::unique_ptr<core::PhasedKernel> clone_renumbered(
-      std::span<const std::uint32_t> perm) const override;
-
   /// Host-side reference: y = A^T x.
   std::vector<double> reference() const;
 

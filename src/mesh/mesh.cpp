@@ -1,7 +1,6 @@
 #include "mesh/mesh.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 
 #include "support/check.hpp"
@@ -58,65 +57,6 @@ Adjacency build_adjacency(const Mesh& m) {
               adj.neighbors.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v + 1]));
   }
   return adj;
-}
-
-std::vector<std::uint32_t> rcm_permutation(const Mesh& m) {
-  const Adjacency adj = build_adjacency(m);
-  const std::vector<std::uint32_t> deg = node_degrees(m);
-
-  std::vector<std::uint32_t> order;  // order[i] = old id visited i-th
-  order.reserve(m.num_nodes);
-  std::vector<bool> visited(m.num_nodes, false);
-
-  // Process every connected component, starting each BFS from a
-  // minimum-degree unvisited node (the usual RCM pseudo-peripheral pick,
-  // simplified). Walking a degree-sorted node list with a cursor makes
-  // that pick O(1) amortized per component — a mesh with many isolated
-  // nodes (every one its own component) would otherwise rescan all nodes
-  // per component — and guarantees every component is eventually seeded,
-  // which a forward-only scan does not when the min-degree node lies in
-  // a different component than the scan position.
-  std::vector<std::uint32_t> by_degree(m.num_nodes);
-  std::iota(by_degree.begin(), by_degree.end(), 0u);
-  std::sort(by_degree.begin(), by_degree.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              return deg[x] != deg[y] ? deg[x] < deg[y] : x < y;
-            });
-  std::size_t cursor = 0;
-  while (order.size() < m.num_nodes) {
-    while (visited[by_degree[cursor]]) ++cursor;
-    const std::uint32_t start = by_degree[cursor];
-
-    std::deque<std::uint32_t> queue{start};
-    visited[start] = true;
-    while (!queue.empty()) {
-      const std::uint32_t v = queue.front();
-      queue.pop_front();
-      order.push_back(v);
-      // Neighbors in increasing-degree order.
-      std::vector<std::uint32_t> nbrs(
-          adj.neighbors.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v]),
-          adj.neighbors.begin() + static_cast<std::ptrdiff_t>(adj.offsets[v + 1]));
-      std::sort(nbrs.begin(), nbrs.end(),
-                [&](std::uint32_t x, std::uint32_t y) {
-                  return deg[x] != deg[y] ? deg[x] < deg[y] : x < y;
-                });
-      for (std::uint32_t w : nbrs) {
-        if (!visited[w]) {
-          visited[w] = true;
-          queue.push_back(w);
-        }
-      }
-    }
-  }
-  ER_ENSURES(order.size() == m.num_nodes);
-
-  // Reverse the Cuthill-McKee order, then convert to perm[old] = new.
-  std::reverse(order.begin(), order.end());
-  std::vector<std::uint32_t> perm(m.num_nodes);
-  for (std::uint32_t newid = 0; newid < m.num_nodes; ++newid)
-    perm[order[newid]] = newid;
-  return perm;
 }
 
 Mesh renumber(const Mesh& m, std::span<const std::uint32_t> perm) {

@@ -52,10 +52,6 @@ struct Adjacency {
 };
 Adjacency build_adjacency(const Mesh& m);
 
-/// Reverse Cuthill-McKee renumbering. Returns `perm` with
-/// perm[old_id] == new_id; apply with renumber().
-std::vector<std::uint32_t> rcm_permutation(const Mesh& m);
-
 /// Applies a node permutation (perm[old] = new) to edges and coordinates.
 Mesh renumber(const Mesh& m, std::span<const std::uint32_t> perm);
 

@@ -30,8 +30,7 @@ const std::set<std::string>& known_keys() {
       "seed",    "procs",   "k",           "dist",    "bc",
       "dedup",   "sweeps",  "deadline",    "engine",  "name",
       "batch",   "no-batch","pin",         "parallel-build",
-      "verify",  "mutate",  "mutate-seed", "dsl",     "strategy",
-      "layout"};
+      "verify",  "mutate",  "mutate-seed", "dsl",     "strategy"};
   return keys;
 }
 
@@ -136,9 +135,6 @@ void request_from_keys(const Options& jopt, JobRequest& req) {
   // PlanOptions (and with it the cache key, the persisted plan header,
   // and shard routing when forced).
   req.plan.strategy = core::parse_strategy(jopt.get("strategy", "auto"));
-  // Plan knob like strategy: the layout pass forks the cache key, the
-  // persisted plan path, and shard routing when non-default.
-  req.plan.layout = core::parse_layout(jopt.get("layout", "none"));
 }
 
 }  // namespace

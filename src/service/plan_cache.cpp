@@ -48,9 +48,6 @@ PlanKey make_plan_key(const core::PhasedKernel& kernel,
   key.block_cyclic_size = opt.block_cyclic_size;
   key.dedup_buffers = opt.inspector.dedup_buffers;
   key.strategy = opt.strategy;
-  // Resolve the env override here, mirroring build_execution_plan, so a
-  // forced layout keys (and stores) exactly what the build will produce.
-  key.layout = core::effective_layout(opt.layout);
   return key;
 }
 
@@ -212,19 +209,6 @@ PlanPtr PlanCache::patch_or_build(
       if (loaded.ok()) base = std::move(loaded.plan);
     }
 
-    // A base built under a layout pass cannot be patched in place: the
-    // mutation may change the reference graph, so the permutation and the
-    // target-stable edge order both have to be recomputed. Route straight
-    // to the full build (the base stays valid for other requests).
-    if (base && (base->applied_layout != core::LayoutKind::None ||
-                 base->options.layout != core::LayoutKind::None)) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++counters_.layout_patch_fallbacks;
-      }
-      base = nullptr;
-    }
-
     if (base && !base->options.inspector.dedup_buffers) {
       try {
         core::ExecutionPlan patched =
@@ -300,8 +284,7 @@ std::uint64_t PlanCache::resident_key_digest(std::uint64_t* entries) const {
     fnv_mix(h, (static_cast<std::uint64_t>(key.distribution) << 32) |
                    key.block_cyclic_size);
     fnv_mix(h, (key.dedup_buffers ? 1ull : 0ull) |
-                   (static_cast<std::uint64_t>(key.strategy) << 1) |
-                   (static_cast<std::uint64_t>(key.layout) << 8));
+                   (static_cast<std::uint64_t>(key.strategy) << 1));
   }
   if (entries) *entries = n;
   return h;

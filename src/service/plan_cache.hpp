@@ -57,10 +57,6 @@ struct PlanKey {
   /// versa). Auto-resolution is deterministic per shape, so keying the
   /// *request* keeps one self-consistent entry per request kind.
   core::StrategyKind strategy = core::StrategyKind::Auto;
-  /// Requested data-layout pass, after env resolution (make_plan_key
-  /// stores core::effective_layout(opt.layout) so a force-env override
-  /// can never alias a plan built under a different layout).
-  core::LayoutKind layout = core::LayoutKind::None;
 
   friend auto operator<=>(const PlanKey&, const PlanKey&) = default;
 };
@@ -111,10 +107,6 @@ class PlanCache {
     // --- incremental re-planning ----------------------------------------
     std::uint64_t patched = 0;          ///< plans produced by a patch
     std::uint64_t patch_fallbacks = 0;  ///< patch failed -> full rebuild
-    /// Patch requests whose base plan carried a layout pass: the patch
-    /// must re-run the whole layout pipeline (permutation + reorder), so
-    /// the cache routes them to a full build and counts it here.
-    std::uint64_t layout_patch_fallbacks = 0;
     double hit_rate() const {
       const std::uint64_t total = hits + coalesced + misses;
       return total ? static_cast<double>(hits + coalesced) /

@@ -34,9 +34,6 @@ std::string PlanStore::path_for(const PlanKey& key) const {
   // resolving to the same path.
   if (key.strategy != core::StrategyKind::Auto)
     name += "-" + std::string(core::to_string(key.strategy));
-  // Likewise layout=none adds no suffix: pre-layout paths stay stable.
-  if (key.layout != core::LayoutKind::None)
-    name += "-" + std::string(core::to_string(key.layout));
   return dir_ + "/" + name + ".plan";
 }
 
@@ -55,8 +52,7 @@ core::PlanLoadResult PlanStore::load(const PlanKey& key) const {
           static_cast<std::uint32_t>(key.distribution) ||
       header->block_cyclic_size != key.block_cyclic_size ||
       (header->dedup_buffers != 0) != key.dedup_buffers ||
-      header->strategy != static_cast<std::uint32_t>(key.strategy) ||
-      header->layout != static_cast<std::uint32_t>(key.layout)) {
+      header->strategy != static_cast<std::uint32_t>(key.strategy)) {
     out.error_code = "E-STORE-KEY";
     out.detail = "stored plan identity does not match the requested key "
                  "(renamed or aliased file)";

@@ -155,7 +155,6 @@ std::uint64_t content_key(std::string_view job_line) {
   std::map<std::string, std::string> values = kDefaults;
   std::string junk;      // unparseable tokens, folded for determinism
   std::string strategy;  // routing only when forced (non-auto)
-  std::string layout;    // routing only when non-default (non-none)
   for (const std::string& tok : split(trim(job_line), ' ')) {
     const std::string_view t = trim(tok);
     if (t.empty()) continue;
@@ -169,13 +168,6 @@ std::uint64_t content_key(std::string_view job_line) {
       // but the default/explicit "auto" adds nothing, keeping every
       // pre-strategy job line on its original shard.
       if (value != "auto") strategy = std::move(value);
-      continue;
-    }
-    if (key == "layout") {
-      // Same rule as strategy: the layout pass forks plan identity, so a
-      // non-default value routes, while the default "none" adds nothing
-      // and keeps pre-layout job lines on their original shard.
-      if (value != "none") layout = std::move(value);
       continue;
     }
     const auto it = values.find(key);
@@ -220,7 +212,6 @@ std::uint64_t content_key(std::string_view job_line) {
     canonical += '|';
   }
   if (!strategy.empty()) canonical += "strategy=" + strategy + "|";
-  if (!layout.empty()) canonical += "layout=" + layout + "|";
   canonical += junk;
   return support::fast_hash64(canonical.data(), canonical.size());
 }

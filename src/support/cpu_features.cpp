@@ -84,8 +84,6 @@ void set_cpu_features_for_test(const CpuFeatures* forced) {
 
 namespace {
 
-const CacheInfo* g_forced_cache = nullptr;
-
 #if EARTHRED_HAS_CPUID
 /// CPUID leaf 4 (Intel deterministic cache parameters; AMD mirrors it on
 /// leaf 0x8000001d, probed as a fallback). Fills only levels sysconf left
@@ -162,11 +160,7 @@ std::string fmt_bytes(std::uint64_t b) {
 
 const CacheInfo& host_cache_info() {
   static const CacheInfo detected = detect_cache();
-  return g_forced_cache ? *g_forced_cache : detected;
-}
-
-void set_cache_info_for_test(const CacheInfo* forced) {
-  g_forced_cache = forced;
+  return detected;
 }
 
 std::string to_string(const CacheInfo& c) {

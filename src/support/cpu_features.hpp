@@ -1,10 +1,10 @@
 #pragma once
 
 // Runtime CPU feature detection (CPUID + XGETBV) for the batch loops'
-// AVX-512 tier (kernels/ops_simd), the host's cache geometry for the
-// layout pass, and a robust hardware-thread count that respects the
-// process affinity mask (containers and `taskset` runs frequently expose
-// fewer CPUs than the machine has online).
+// AVX-512 tier (kernels/ops_simd), the host's cache geometry (reported by
+// `earthred version` and the benches), and a robust hardware-thread count
+// that respects the process affinity mask (containers and `taskset` runs
+// frequently expose fewer CPUs than the machine has online).
 
 #include <cstdint>
 #include <string>
@@ -49,9 +49,5 @@ const CacheInfo& host_cache_info();
 
 /// Human-readable summary, e.g. "L1d 32 KiB, L2 1 MiB, LLC 32 MiB, line 64 B".
 std::string to_string(const CacheInfo& c);
-
-/// Test-only override for `host_cache_info()`, mirroring
-/// `set_cpu_features_for_test`. Not thread-safe; call before workers.
-void set_cache_info_for_test(const CacheInfo* forced);
 
 }  // namespace earthred::support

@@ -101,15 +101,13 @@ TEST(BatchEquivalence, BitIdenticalAcrossKernelsDistributionsAndK) {
   }
 }
 
-TEST(BatchEquivalence, AllBackendsBitIdenticalToPerEdgeReference) {
+TEST(BatchEquivalence, CpuidTiersBitIdenticalToPerEdgeReference) {
   // The acceptance bar for the batch loops' two tiers: the tier this host
   // dispatches (AVX-512 when CPUID reports it) and the scalar loops
   // (features forced to no-AVX-512) must each reproduce the per-edge
-  // reference bit for bit, through untiled and cache-tiled plans, on
-  // every kernel. The AVX-512 tier vectorizes gathers and arithmetic
-  // only — scatter accumulation stays scalar and in order — so exact
-  // equality is the contract, not a tolerance. The forced tile of 13
-  // iterations leaves a remainder after every 8-lane block.
+  // reference bit for bit on every kernel. The AVX-512 tier vectorizes
+  // gathers and arithmetic only — scatter accumulation stays scalar and
+  // in order — so exact equality is the contract, not a tolerance.
   struct ScopedFeatures {
     explicit ScopedFeatures(const support::CpuFeatures* f) {
       support::set_cpu_features_for_test(f);
@@ -122,36 +120,24 @@ TEST(BatchEquivalence, AllBackendsBitIdenticalToPerEdgeReference) {
   for (const support::CpuFeatures* features : {
            static_cast<const support::CpuFeatures*>(nullptr), &no_avx512}) {
     const ScopedFeatures scoped(features);
-    for (const bool tiled : {false, true}) {
-      for (const NamedKernel& nk : named) {
-        for (const std::uint32_t k : {1u, 2u}) {
-          PlanOptions popt;
-          popt.num_procs = 4;
-          popt.k = k;
-          popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
-          if (tiled) {
-            popt.layout = LayoutKind::Rcm;
-            popt.layout_tile_iters = 13;
-          }
-          const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
-          // The default-layout plan is untiled unless the CI layout
-          // matrix forces a layout through EARTHRED_FORCE_LAYOUT.
-          if (tiled) {
-            ASSERT_EQ(plan.tile_iters, 13u);
-          }
+    for (const NamedKernel& nk : named) {
+      for (const std::uint32_t k : {1u, 2u}) {
+        PlanOptions popt;
+        popt.num_procs = 4;
+        popt.k = k;
+        popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
+        const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
 
-          SweepOptions sopt;
-          sopt.sweeps = 3;
-          sopt.batch = false;
-          const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
-          sopt.batch = true;
-          const NativeResult batch = run_native_plan(*nk.kernel, plan, sopt);
-          expect_results_identical(
-              edge, batch,
-              nk.name + " tier=" + kernels::ops::batch_tier() +
-                  (tiled ? " tiled" : " untiled") +
-                  " k=" + std::to_string(k));
-        }
+        SweepOptions sopt;
+        sopt.sweeps = 3;
+        sopt.batch = false;
+        const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
+        sopt.batch = true;
+        const NativeResult batch = run_native_plan(*nk.kernel, plan, sopt);
+        expect_results_identical(
+            edge, batch,
+            nk.name + " tier=" + kernels::ops::batch_tier() +
+                " k=" + std::to_string(k));
       }
     }
   }
@@ -279,57 +265,6 @@ TEST(BatchEquivalence, StrategySweepKeepsExecutorContracts) {
               nk.name + " strategy=" + std::string(to_string(s)) +
                   " dist=" + std::to_string(static_cast<int>(dist)) +
                   " k=" + std::to_string(k));
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchEquivalence, LayoutPassIsBitIdenticalToLayoutNone) {
-  // The layout pass's acceptance bar: RCM renumbering + target-stable
-  // edge reorder + cache tiles form a pure plan isomorphism — the same
-  // floating-point operations at relabeled addresses, per-target
-  // accumulation order preserved by the stable sort, results un-permuted
-  // at read-out. Every layout plan must therefore reproduce the
-  // layout=none *per-edge reference* bit for bit, through both
-  // executors, across kernels x distributions x k.
-  const std::vector<NamedKernel> kernels = make_kernels();
-  for (const NamedKernel& nk : kernels) {
-    for (const auto dist : {inspector::Distribution::Block,
-                            inspector::Distribution::Cyclic,
-                            inspector::Distribution::BlockCyclic}) {
-      for (const std::uint32_t k : {1u, 2u}) {
-        PlanOptions popt;
-        popt.num_procs = 4;
-        popt.k = k;
-        popt.distribution = dist;
-        popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
-        const ExecutionPlan none = build_execution_plan(*nk.kernel, popt);
-
-        SweepOptions sopt;
-        sopt.sweeps = 3;
-        sopt.batch = false;
-        const NativeResult ref = run_native_plan(*nk.kernel, none, sopt);
-
-        for (const LayoutKind layout : {LayoutKind::Rcm, LayoutKind::Auto}) {
-          popt.layout = layout;
-          const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
-          // All four built-in kernels can renumber, so both rcm and auto
-          // must actually apply the pass (and size its tiles).
-          EXPECT_EQ(plan.applied_layout, LayoutKind::Rcm);
-          EXPECT_GT(plan.tile_iters, 0u);
-
-          sopt.batch = false;
-          const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
-          sopt.batch = true;
-          const NativeResult batch = run_native_plan(*nk.kernel, plan, sopt);
-
-          const std::string what =
-              nk.name + " layout=" + std::string(to_string(layout)) +
-              " dist=" + std::to_string(static_cast<int>(dist)) +
-              " k=" + std::to_string(k);
-          expect_results_identical(ref, edge, what + " (per-edge)");
-          expect_results_identical(ref, batch, what + " (batched)");
         }
       }
     }

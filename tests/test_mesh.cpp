@@ -1,5 +1,5 @@
 // Tests for the mesh substrate: structure, generators at the paper's
-// dataset sizes, RCM renumbering, and adaptive rebuild utilities.
+// dataset sizes, renumbering, and adaptive rebuild utilities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,50 +52,6 @@ TEST(Mesh, AdjacencyListsBothDirections) {
   // Node 1's neighbors are 0 and 2, sorted.
   EXPECT_EQ(adj.neighbors[adj.offsets[1]], 0u);
   EXPECT_EQ(adj.neighbors[adj.offsets[1] + 1], 2u);
-}
-
-TEST(Mesh, RcmPermutationIsABijection) {
-  const Mesh m = euler_mesh_small();
-  const auto perm = rcm_permutation(m);
-  std::vector<bool> seen(m.num_nodes, false);
-  for (auto v : perm) {
-    ASSERT_LT(v, m.num_nodes);
-    ASSERT_FALSE(seen[v]);
-    seen[v] = true;
-  }
-}
-
-TEST(Mesh, RcmCoversDisconnectedComponentsAndIsolatedNodes) {
-  // Components whose min-degree node sits *behind* the scan position used
-  // to be skipped forever (the ensure at the end of rcm_permutation
-  // fired). Node 0-1 form one component, 2 is isolated, 3-5 a triangle —
-  // the isolated node is the global degree minimum, so a forward-only
-  // scan starting past it never seeds the first component.
-  Mesh m;
-  m.num_nodes = 6;
-  m.edges = {{0, 1}, {3, 4}, {4, 5}, {3, 5}};
-  const auto perm = rcm_permutation(m);
-  ASSERT_EQ(perm.size(), m.num_nodes);
-  std::vector<bool> seen(m.num_nodes, false);
-  for (auto v : perm) {
-    ASSERT_LT(v, m.num_nodes);
-    ASSERT_FALSE(seen[v]);
-    seen[v] = true;
-  }
-}
-
-TEST(Mesh, RcmReducesBandwidthOnShuffledMesh) {
-  // Scramble a mesh's numbering, then check RCM restores locality.
-  Mesh m = euler_mesh_small();
-  Xoshiro256 rng(99);
-  std::vector<std::uint32_t> shuffle(m.num_nodes);
-  for (std::uint32_t i = 0; i < m.num_nodes; ++i) shuffle[i] = i;
-  for (std::uint32_t i = m.num_nodes - 1; i > 0; --i)
-    std::swap(shuffle[i], shuffle[rng.below(i + 1)]);
-  const Mesh scrambled = renumber(m, shuffle);
-  const auto perm = rcm_permutation(scrambled);
-  const Mesh restored = renumber(scrambled, perm);
-  EXPECT_LT(mesh_bandwidth(restored), mesh_bandwidth(scrambled) / 2);
 }
 
 TEST(Mesh, RenumberPreservesStructure) {

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "mesh/generators.hpp"
 #include "service/plan_cache.hpp"
 #include "service/plan_store.hpp"
+#include "support/binio.hpp"
 
 namespace earthred::service {
 namespace {
@@ -103,89 +105,73 @@ TEST(PlanStore, RoundTripIsZeroCopyAndBitIdentical) {
   EXPECT_EQ(entries[0].header.content_hash, key.content_hash);
 }
 
-TEST(PlanStore, LayoutPlanRoundTripsPermutationArrays) {
-  // Format v2: a layout plan's permutation and inverse ride the payload
-  // right after build_seconds; the header carries the layout kinds and
-  // tile size. The round trip must preserve all of it bit for bit, and
-  // the layout key must fork the file path so a layout=none plan can
-  // never alias it.
+TEST(PlanStore, RetiredLayoutFieldsMustReadZero) {
+  // Format v2 keeps the slots a retired plan-layout pass once filled:
+  // three header u32s at offset 96 and two u32 arrays after
+  // build_seconds. They are reserved and must read 0; anything else is a
+  // coded E-STORE-PARSE, never a plan.
   const auto kernel = make_kernel();
-  core::PlanOptions opt = plan_opts();
-  opt.layout = core::LayoutKind::Rcm;
+  const core::PlanOptions opt = plan_opts();
   const core::ExecutionPlan plan = core::build_execution_plan(kernel, opt);
-  ASSERT_FALSE(plan.perm.empty());
-  ASSERT_EQ(plan.perm.size(), plan.perm_inv.size());
-  ASSERT_EQ(plan.applied_layout, core::LayoutKind::Rcm);
-  ASSERT_GT(plan.tile_iters, 0u);
-
   ScratchStore scratch;
-  const PlanStore store(scratch.dir);
-  const PlanKey key = make_plan_key(kernel, opt);
-  EXPECT_EQ(key.layout, core::LayoutKind::Rcm);
-  EXPECT_NE(store.path_for(key).find("-rcm"), std::string::npos)
-      << store.path_for(key);
-  PlanKey none_key = key;
-  none_key.layout = core::LayoutKind::None;
-  EXPECT_NE(store.path_for(key), store.path_for(none_key));
+  fs::create_directories(scratch.dir);
+  const std::string path = scratch.dir + "/reserved.plan";
+  const std::vector<std::byte> good =
+      core::serialize_plan(plan, make_plan_key(kernel, opt).content_hash);
+  ASSERT_GE(good.size(), core::kPlanHeaderBytes + 24);
 
-  std::string error;
-  ASSERT_TRUE(store.save(key, plan, &error)) << error;
-  const core::PlanLoadResult r = store.load(key);
-  ASSERT_TRUE(r.ok()) << r.error_code << ": " << r.detail;
-  EXPECT_TRUE(core::plans_bit_identical(*r.plan, plan));
-  EXPECT_TRUE(r.plan->perm == plan.perm);
-  EXPECT_TRUE(r.plan->perm_inv == plan.perm_inv);
-  EXPECT_EQ(r.plan->applied_layout, plan.applied_layout);
-  EXPECT_EQ(r.plan->tile_iters, plan.tile_iters);
-  EXPECT_EQ(r.plan->options.layout, core::LayoutKind::Rcm);
-
-  // And the header alone reports the layout identity.
-  std::string code, detail;
-  const auto header =
-      core::read_plan_header(store.path_for(key), &code, &detail);
-  ASSERT_TRUE(header.has_value()) << code << ": " << detail;
-  EXPECT_EQ(header->layout,
-            static_cast<std::uint32_t>(core::LayoutKind::Rcm));
-  EXPECT_EQ(header->applied_layout,
-            static_cast<std::uint32_t>(core::LayoutKind::Rcm));
-  EXPECT_EQ(header->tile_iters, plan.tile_iters);
-}
-
-TEST(PlanStore, BrokenPermutationIsPermError) {
-  // A perm defect inserted *before* serialization leaves the checksum
-  // valid, so only the structural validation can catch it — and it must
-  // answer with the dedicated E-STORE-PERM code, never a crash.
-  const auto kernel = make_kernel();
-  core::PlanOptions opt = plan_opts();
-  opt.layout = core::LayoutKind::Rcm;
-  ScratchStore scratch;
-  const PlanStore store(scratch.dir);
-  const PlanKey key = make_plan_key(kernel, opt);
-
-  const auto expect_perm_error = [&](core::ExecutionPlan&& bad) {
-    ASSERT_TRUE(store.save(key, bad));
-    const core::PlanLoadResult r = store.load(key);
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.error_code, "E-STORE-PERM") << r.detail;
-    EXPECT_EQ(r.plan, nullptr);
+  const auto expect_parse_error = [&](const std::vector<std::byte>& bytes,
+                                      const std::string& what) {
+    write_file(path, bytes);
+    const core::PlanLoadResult r = core::load_plan_file(path);
+    EXPECT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.error_code, "E-STORE-PARSE") << what << ": " << r.detail;
+    EXPECT_EQ(r.plan, nullptr) << what;
   };
+  for (const std::size_t offset : {96u, 100u, 104u}) {
+    auto bad = good;
+    bad[offset] = std::byte{0x01};
+    expect_parse_error(bad, "header offset " + std::to_string(offset));
+  }
 
-  {  // not a bijection: two nodes map to one slot
-    core::ExecutionPlan bad = core::build_execution_plan(kernel, opt);
-    ASSERT_FALSE(bad.perm.empty());
-    std::vector<std::uint32_t> p(bad.perm.data(),
-                                 bad.perm.data() + bad.perm.size());
-    p.at(0) = p.at(1);
-    bad.perm = inspector::U32Buf(std::move(p));
-    expect_perm_error(std::move(bad));
+  // A reserved array with two entries, spliced in with a matching
+  // payload size and checksum so only the reserved-field check objects.
+  {
+    const auto put_u64 = [](std::vector<std::byte>& b, std::size_t at,
+                            std::uint64_t v) {
+      std::memcpy(b.data() + at, &v, sizeof v);
+    };
+    const std::size_t first_count = core::kPlanHeaderBytes + 8;
+    std::vector<std::byte> bad(good.begin(),
+                               good.begin() + static_cast<std::ptrdiff_t>(
+                                                  first_count + 8));
+    put_u64(bad, first_count, 2);
+    bad.resize(bad.size() + 8, std::byte{0x07});  // the two u32 entries
+    bad.insert(bad.end(),
+               good.begin() + static_cast<std::ptrdiff_t>(first_count + 8),
+               good.end());
+    const std::size_t payload = bad.size() - core::kPlanHeaderBytes;
+    put_u64(bad, 80, payload);
+    put_u64(bad, 88,
+            support::fast_hash64(bad.data() + core::kPlanHeaderBytes,
+                                 payload));
+    expect_parse_error(bad, "nonzero reserved array count");
   }
-  {  // truncated: perm shorter than the node count
-    core::ExecutionPlan bad = core::build_execution_plan(kernel, opt);
-    std::vector<std::uint32_t> p(bad.perm.data(),
-                                 bad.perm.data() + bad.perm.size() - 1);
-    bad.perm = inspector::U32Buf(std::move(p));
-    expect_perm_error(std::move(bad));
-  }
+  write_file(path, good);
+  EXPECT_TRUE(core::load_plan_file(path).ok());
+
+  // Plans already on disk keep loading: the committed keystore/ plan was
+  // written before the layout pass was retired, and still parses into
+  // the plan this build makes from the same fig1 mesh.
+  const fs::path committed = fs::path(EARTHRED_SOURCE_DIR) / "examples" /
+                             "plans" / "bad" / "keystore" /
+                             "p0000000000000000-P4-k2-cyclic.plan";
+  const core::PlanLoadResult r = core::load_plan_file(committed.string());
+  ASSERT_TRUE(r.ok()) << r.error_code << ": " << r.detail;
+  const auto corpus_kernel = kernels::Fig1Kernel::with_integer_values(
+      mesh::make_geometric_mesh({80, 400, 7}));
+  EXPECT_TRUE(core::plans_bit_identical(
+      *r.plan, core::build_execution_plan(corpus_kernel, plan_opts())));
 }
 
 TEST(PlanStore, MissingKeyIsOpenError) {

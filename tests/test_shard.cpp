@@ -357,22 +357,25 @@ TEST(Router, JobCodesPropagateWithoutFailover) {
   EXPECT_EQ(forwards, 1u);
 }
 
-TEST(Router, RetiredBackendKeyIsACodedReject) {
-  // backend= is no longer a job key: routed like any unknown token, the
-  // owning shard's JobBuilder refuses it with E-JOB-KEY, and the fleet
-  // keeps serving.
+TEST(Router, RetiredKeysAreCodedRejects) {
+  // backend= and layout= are no longer job keys: routed like any unknown
+  // token, the owning shard's JobBuilder refuses them with E-JOB-KEY, and
+  // the fleet keeps serving.
   TestFleet fleet(2);
   net::Client client(fleet.client_config());
-  const net::Client::Reply r = client.submit(
-      "kernel=fig1 nodes=80 edges=400 procs=4 k=2 backend=avx512");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.code, "E-JOB-KEY") << r.detail;
+  for (const char* retired : {"backend=avx512", "layout=rcm"}) {
+    const net::Client::Reply r = client.submit(
+        std::string("kernel=fig1 nodes=80 edges=400 procs=4 k=2 ") +
+        retired);
+    ASSERT_FALSE(r.ok()) << retired;
+    EXPECT_EQ(r.code, "E-JOB-KEY") << retired << ": " << r.detail;
+  }
 
   const net::Client::Reply ok =
       client.submit("kernel=fig1 nodes=80 edges=400 procs=4 k=2 sweeps=2");
   ASSERT_TRUE(ok.ok()) << ok.code << ": " << ok.detail;
   EXPECT_EQ(static_cast<JobState>(ok.result.state), JobState::Done);
-  EXPECT_EQ(fleet.router->stats().submit_rejects, 1u);
+  EXPECT_EQ(fleet.router->stats().submit_rejects, 2u);
 }
 
 TEST(Router, PingReportsRouterHealth) {

@@ -344,13 +344,16 @@ TEST(StrategyService, BuilderParsesStrategyJobKey) {
 }
 
 TEST(StrategyService, BuilderRejectsRetiredSpellings) {
-  // The retired backend= key and atomic strategy fail as coded job
-  // errors, never as a silently ignored token.
+  // The retired backend= and layout= keys and the atomic strategy fail
+  // as coded job errors, never as a silently ignored token.
   service::JobBuilder builder;
-  const service::JobBuild backend = builder.build(
-      "kernel=fig1 nodes=100 edges=500 procs=4 k=2 backend=avx2");
-  EXPECT_FALSE(backend.ok());
-  EXPECT_EQ(backend.code, "E-JOB-KEY") << backend.detail;
+  for (const char* retired : {"backend=avx2", "layout=rcm", "layout=none"}) {
+    const service::JobBuild b = builder.build(
+        std::string("kernel=fig1 nodes=100 edges=500 procs=4 k=2 ") +
+        retired);
+    EXPECT_FALSE(b.ok()) << retired;
+    EXPECT_EQ(b.code, "E-JOB-KEY") << retired << ": " << b.detail;
+  }
 
   const service::JobBuild atomic = builder.build(
       "kernel=fig1 nodes=100 edges=500 procs=4 k=2 strategy=atomic");
@@ -486,6 +489,19 @@ TEST(StrategyPass, ExplainNotesAreOptIn) {
   ASSERT_EQ(ls.scores.size(), 2u);
   EXPECT_FALSE(ls.rationale.empty());
   EXPECT_NE(sr.lowering.render().find("strategy="), std::string::npos);
+
+  // Unbound, the fan-in comes from the default 1000-node/5000-edge
+  // shape; a bound mesh replaces it, and a mesh without edges is not
+  // bound.
+  EXPECT_DOUBLE_EQ(ls.chains[0].fanin, 2.0 * 5000 / 1000);
+  EXPECT_FALSE((compiler::MeshStats{96, 0}.bound()));
+  ctx.mesh = {96, 960};
+  ASSERT_TRUE(ctx.mesh.bound());
+  const compiler::StrategyReport bound =
+      compiler::check_source_with_strategies(kFig1Source, ctx);
+  ASSERT_EQ(bound.lowering.loops.size(), 1u);
+  ASSERT_EQ(bound.lowering.loops[0].chains.size(), 1u);
+  EXPECT_DOUBLE_EQ(bound.lowering.loops[0].chains[0].fanin, 2.0 * 960 / 96);
 }
 
 TEST(StrategyPass, IllegalLoopsAreNotScored) {
@@ -507,25 +523,6 @@ forall (e : 0 .. num_edges) {
   EXPECT_TRUE(sr.lowering.loops[0].scores.empty());
   EXPECT_NE(sr.lowering.loops[0].rationale.find("not scored"),
             std::string::npos);
-}
-
-TEST(StrategyPass, MeshStatsFeedTheContentionTerm) {
-  const mesh::Mesh m = mesh::make_geometric_mesh({96, 500, 21});
-  const compiler::MeshStats stats = compiler::mesh_stats_from_degrees(
-      mesh::node_degrees(m), m.num_edges());
-  EXPECT_TRUE(stats.bound());
-  EXPECT_EQ(stats.num_nodes, 96u);
-  EXPECT_EQ(stats.num_edges, 500u);
-  EXPECT_GT(stats.mean_degree, 0.0);
-  EXPECT_GE(stats.degree_cv, 0.0);
-
-  // Uniform degrees have zero skew; one hot node does not.
-  const compiler::MeshStats uniform =
-      compiler::mesh_stats_from_degrees({4, 4, 4, 4}, 8);
-  EXPECT_EQ(uniform.degree_cv, 0.0);
-  const compiler::MeshStats hot =
-      compiler::mesh_stats_from_degrees({13, 1, 1, 1}, 8);
-  EXPECT_GT(hot.degree_cv, 1.0);
 }
 
 }  // namespace

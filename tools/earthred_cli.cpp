@@ -19,13 +19,6 @@
 //                        per-worker privatized replicas with a fixed
 //                        worker-ascending fold; auto scores both with
 //                        the cost model in src/core/strategy.cpp)
-//                        [--layout=none|rcm|auto] (data-layout pass at
-//                        plan build: RCM renumbering of the reduction
-//                        arrays + target-stable edge reorder + cache
-//                        tiles with software prefetch; results are
-//                        bit-identical to layout=none by construction.
-//                        rcm fails on kernels that cannot renumber,
-//                        auto falls back to none there)
 //                        fault injection (engine=rotation only):
 //                        [--fault-drop=p] [--fault-corrupt=p]
 //                        [--fault-dup=p] [--fault-delay=p]
@@ -49,8 +42,6 @@
 //   earthred batch      --jobs=jobs.txt [--workers=W] [--queue=N]
 //                        [--strategy=...] (default lowering strategy for
 //                        jobs without their own strategy= key)
-//                        [--layout=...] (default data-layout pass for
-//                        jobs without their own layout= key)
 //                        [--cache-mb=M] [--no-cache] [--deadline=S]
 //                        [--plan-store=DIR] (persistent plan tier: plans
 //                        load zero-copy from DIR and new builds persist)
@@ -97,7 +88,7 @@
 //                        batch loops run on this host (avx512 when
 //                        CPUID/xgetbv report AVX-512F, else scalar), and
 //                        the detected cache sizes (L1d/L2/LLC + line
-//                        width) that size the layout pass's tiles
+//                        width)
 //   earthred plan       save|load|ls --store=DIR
 //                        save/load take the same kernel/mesh keys as run
 //                        (--kernel --preset/--mesh/--nodes --edges --seed)
@@ -122,9 +113,7 @@
 // sweeps; defaults to the build type's PlanOptions::verify),
 // [strategy=auto|phased|privatized] (lowering strategy; forced
 // privatized replicas over the admission byte budget are rejected with
-// E-STRATEGY-UNSUPPORTED, auto never rejects), [layout=none|rcm|auto]
-// (data-layout pass; forks the plan key and shard routing when
-// non-default, bit-identical results either way). Jobs on the same mesh
+// E-STRATEGY-UNSUPPORTED, auto never rejects). Jobs on the same mesh
 // share one cached execution plan (see src/service/plan_cache.hpp); a
 // concrete strategy= forks the plan key, since strategies may legally
 // differ in floating-point summation order.
@@ -366,15 +355,6 @@ int cmd_run(const Options& opt) {
                         " only applies to --engine=native (the '" + engine +
                         "' engine simulates the phased rotation only)");
   }
-  // --layout is a plan-build knob of the native engine (the renumbering
-  // is applied and un-applied inside run_native_plan); the simulated
-  // engines never see it, so a concrete value is refused there.
-  if (opt.has("layout")) {
-    const core::LayoutKind requested = core::parse_layout(opt.get("layout"));
-    if (engine != "native" && requested != core::LayoutKind::None)
-      throw check_error("--layout=" + opt.get("layout") +
-                        " only applies to --engine=native");
-  }
 
   if (opt.get_bool("check", false)) {
     // Prove the plan before running anything: full structural invariants
@@ -384,7 +364,6 @@ int cmd_run(const Options& opt) {
     popt.num_procs = procs;
     popt.k = k;
     popt.distribution = dist;
-    popt.layout = core::parse_layout(opt.get("layout", "none"));
     popt.verify = false;  // the explicit full check below supersedes it
     const core::ExecutionPlan plan =
         core::build_execution_plan(*kernel, popt);
@@ -418,7 +397,6 @@ int cmd_run(const Options& opt) {
     popt.k = k;
     popt.distribution = dist;
     popt.strategy = core::parse_strategy(opt.get("strategy", "auto"));
-    popt.layout = core::parse_layout(opt.get("layout", "none"));
     core::SweepOptions wopt;
     wopt.sweeps = sweeps;
     hotpath_from_options(opt, popt, wopt);
@@ -430,12 +408,6 @@ int cmd_run(const Options& opt) {
                                                   kernels::ops::batch_tier())
                                         : "per-edge"});
     t.add_row({"strategy", std::string(core::to_string(r.strategy))});
-    t.add_row({"layout", std::string(core::to_string(plan.applied_layout)) +
-                             (plan.tile_iters
-                                  ? " (tile " +
-                                        std::to_string(plan.tile_iters) +
-                                        " iters)"
-                                  : "")});
   } else {
     core::RunResult r;
     if (engine == "classic") {
@@ -574,7 +546,6 @@ std::string lowering_plan_json(const compiler::LoweringPlan& plan) {
         .field("legal", ls.legal)
         .field("strategy", std::string(core::to_string(ls.chosen)))
         .field("rationale", ls.rationale)
-        .field("est_line_reuse", ls.est_line_reuse)
         .raw_field("chains", json_array(chains))
         .raw_field("scores", json_array(scores));
     loops.push_back(lw.str());
@@ -702,10 +673,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
   // model at execution time.
   const core::StrategyKind default_strategy =
       core::parse_strategy(opt.get("strategy", "auto"));
-  // And for the data-layout pass: jobs without their own layout= key get
-  // the service default.
-  const core::LayoutKind default_layout =
-      core::parse_layout(opt.get("layout", "none"));
 
   service::install_shutdown_signals();
 
@@ -731,8 +698,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
     for (service::JobRequest& req : b.requests) {
       if (req.plan.strategy == core::StrategyKind::Auto)
         req.plan.strategy = default_strategy;
-      if (req.plan.layout == core::LayoutKind::None)
-        req.plan.layout = default_layout;
       handles.push_back(sched.submit(std::move(req)));
     }
   }
@@ -880,7 +845,6 @@ PlanVerbContext plan_verb_context(const Options& opt) {
   ctx.popt.block_cyclic_size =
       static_cast<std::uint32_t>(opt.get_int("bc", 16));
   ctx.popt.inspector.dedup_buffers = opt.get_bool("dedup", false);
-  ctx.popt.layout = core::parse_layout(opt.get("layout", "none"));
   ctx.key = service::make_plan_key(*ctx.kernel, ctx.popt);
   return ctx;
 }
@@ -966,11 +930,9 @@ int run_netserve(const Options& opt) {
   limits.allow_file_io = false;
   auto builder = std::make_shared<service::JobBuilder>(limits);
   auto lineno = std::make_shared<std::size_t>(0);
-  // Same default-strategy/layout rule as the stdin/batch front end.
+  // Same default-strategy rule as the stdin/batch front end.
   const core::StrategyKind default_strategy =
       core::parse_strategy(opt.get("strategy", "auto"));
-  const core::LayoutKind default_layout =
-      core::parse_layout(opt.get("layout", "none"));
 
   service::ServeConfig scfg;
   scfg.host = opt.get("host", "127.0.0.1");
@@ -983,14 +945,11 @@ int run_netserve(const Options& opt) {
 
   service::ServeLoop loop(
       sched,
-      [builder, lineno, default_strategy,
-       default_layout](std::string_view job_line) {
+      [builder, lineno, default_strategy](std::string_view job_line) {
         service::JobBuild b = builder->build(job_line, ++*lineno);
         for (service::JobRequest& req : b.requests) {
           if (req.plan.strategy == core::StrategyKind::Auto)
             req.plan.strategy = default_strategy;
-          if (req.plan.layout == core::LayoutKind::None)
-            req.plan.layout = default_layout;
         }
         return b;
       },
@@ -1370,8 +1329,6 @@ int cmd_version() {
   // reports AVX-512F (and the OS saves ZMM state), scalar otherwise.
   std::printf("batch loops: %s\n", kernels::ops::batch_tier());
   std::printf("hardware threads: %u\n", support::hardware_threads());
-  // Detected cache geometry — the inputs the layout pass's tile-size
-  // heuristic works from (core::layout_tile_iters).
   std::printf("caches: %s\n",
               support::to_string(support::host_cache_info()).c_str());
   return 0;

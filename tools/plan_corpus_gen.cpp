@@ -23,7 +23,6 @@
 
 #include "core/native_engine.hpp"
 #include "core/plan_io.hpp"
-#include "inspector/u32buf.hpp"
 #include "kernels/fig1.hpp"
 #include "mesh/generators.hpp"
 #include "service/plan_cache.hpp"
@@ -106,28 +105,13 @@ int main(int argc, char** argv) {
   }
   {
     auto b = good;
+    b[96] = std::byte{0x01};  // u32 reserved: the retired layout kind
+    write_file(dir / "parse-layout-retired.plan", b);
+  }
+  {
+    auto b = good;
     b[core::kPlanHeaderBytes + b.size() / 3] ^= std::byte{0x10};
     write_file(dir / "checksum-payload-bitflip.plan", b);
-  }
-
-  // E-STORE-PERM: a layout plan whose permutation is not a bijection.
-  // The defect is inserted *before* serialization so the payload
-  // checksum is valid — only the structural perm validation can reject
-  // it, which is exactly the path the corpus entry pins.
-  {
-    core::PlanOptions lopt = opt;
-    lopt.layout = core::LayoutKind::Rcm;
-    core::ExecutionPlan lplan = core::build_execution_plan(kernel, lopt);
-    if (lplan.perm.empty()) {
-      std::fprintf(stderr, "rcm corpus plan unexpectedly has no perm\n");
-      return 1;
-    }
-    std::vector<std::uint32_t> p(lplan.perm.data(),
-                                 lplan.perm.data() + lplan.perm.size());
-    p.at(0) = p.at(1);  // two nodes map to one slot: not a bijection
-    lplan.perm = inspector::U32Buf(std::move(p));
-    write_file(dir / "perm-not-a-bijection.plan",
-               core::serialize_plan(lplan, hash));
   }
 
   // E-STORE-KEY: a fully valid file (it would load fine by path) filed
