@@ -23,32 +23,16 @@
 // of cold plan-build time — that is what lets CI leave it on for every
 // Debug build. The pass must also come back clean on the built plan.
 //
-// Part 1c (lowering strategies): reruns the batched path once per
-// lowering strategy (phased rotation and privatized replicas) on
-// per-strategy plans (the strategy is a plan knob — it forks the plan
-// key). Privatized must agree with phased bit-for-bit on the
-// integer-valued fig1 kernel (exact sums commute) and to 1e-9 relative
-// tolerance on the FP kernels (the two strategies legally differ in
-// summation association). In full mode the cost model's Auto pick
-// must land within 10% of the best measured strategy (>= 0.9x) on every
-// bench mesh — the gate that keeps the model honest against the
-// hardware. --strategy-json=<path> appends the comparison as a JSONL
-// record (BENCH_strategy.json in the repo).
-//
 // Exit code: 0 when every kernel's executors agree bit-identically AND
-// every strategy agrees within its contract AND (full mode only) the
-// best batched speedup reaches 2x on euler or moldyn AND (full mode
-// only) the Auto strategy pick stays >= 0.9x of the best measured
-// strategy AND (full mode only) the verifier overhead stays under 5%;
+// (full mode only) the best batched speedup reaches 2x on euler or
+// moldyn AND (full mode only) the verifier overhead stays under 5%;
 // nonzero otherwise. --small shrinks meshes/reps for CI smoke runs and
 // drops the throughput gates (shared runners are too noisy to gate on
 // throughput) — bit-identity stays gated.
 //
 // Flags: --small, --procs=P (default 4), --k=K (default 2),
-//        --sweeps=S, --reps=R, --json=<path> (JSONL records),
-//        --strategy-json=<path> (strategy-comparison JSONL record).
+//        --sweeps=S, --reps=R, --json=<path> (JSONL records).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -59,7 +43,6 @@
 
 #include "bench_common.hpp"
 #include "core/native_engine.hpp"
-#include "core/strategy.hpp"
 #include "support/cpu_features.hpp"
 #include "inspector/plan_verifier.hpp"
 #include "kernels/euler.hpp"
@@ -82,54 +65,30 @@ struct Workload {
   std::string name;
   std::unique_ptr<const core::PhasedKernel> kernel;
   std::uint64_t num_edges = 0;
-  /// Integer-valued sums (fig1): every strategy's result is exact, so
-  /// phased and privatized must agree bit-for-bit despite reassociating.
-  bool exact_sums = false;
 };
 
 std::vector<Workload> make_workloads(bool small) {
   std::vector<Workload> w;
   const auto add = [&](std::string name,
-                       std::unique_ptr<const core::PhasedKernel> kernel,
-                       bool exact_sums) {
+                       std::unique_ptr<const core::PhasedKernel> kernel) {
     Workload wl;
     wl.name = std::move(name);
     wl.num_edges = kernel->shape().num_edges;
     wl.kernel = std::move(kernel);
-    wl.exact_sums = exact_sums;
     w.push_back(std::move(wl));
   };
   add("fig1",
       std::make_unique<kernels::Fig1Kernel>(
           kernels::Fig1Kernel::with_integer_values(mesh::make_geometric_mesh(
               small ? mesh::GeomMeshParams{1500, 9000, 11}
-                    : mesh::GeomMeshParams{9428, 59863, 11}))),
-      /*exact_sums=*/true);
+                    : mesh::GeomMeshParams{9428, 59863, 11}))));
   add("euler",
       std::make_unique<kernels::EulerKernel>(small ? mesh::euler_mesh_small()
-                                                   : mesh::euler_mesh_large()),
-      /*exact_sums=*/false);
+                                                   : mesh::euler_mesh_large()));
   add("moldyn",
       std::make_unique<kernels::MoldynKernel>(small ? mesh::moldyn_small()
-                                                    : mesh::moldyn_large()),
-      /*exact_sums=*/false);
+                                                    : mesh::moldyn_large()));
   return w;
-}
-
-/// |a-b| <= tol * max(1, |a|, |b|) element-wise — the contract for
-/// strategies that legally reassociate FP sums.
-bool near_arrays(const std::vector<std::vector<double>>& a,
-                 const std::vector<std::vector<double>>& b, double tol) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (std::size_t j = 0; j < a[i].size(); ++j) {
-      const double mag =
-          std::max({1.0, std::abs(a[i][j]), std::abs(b[i][j])});
-      if (std::abs(a[i][j] - b[i][j]) > tol * mag) return false;
-    }
-  }
-  return true;
 }
 
 bool same_arrays(const std::vector<std::vector<double>>& a,
@@ -177,10 +136,6 @@ int run(const Options& opt) {
     core::PlanOptions popt;
     popt.num_procs = procs;
     popt.k = k;
-    // Part 1 profiles (and bit-identity-gates) the phased hot path; pin
-    // the strategy so EARTHRED_FORCE_STRATEGY (the CI strategy-matrix)
-    // cannot reroute it. Part 1c measures the other strategy explicitly.
-    popt.strategy = core::StrategyKind::Phased;
     const core::ExecutionPlan plan =
         core::build_execution_plan(*w.kernel, popt);
 
@@ -222,86 +177,6 @@ int run(const Options& opt) {
     exec_json.push_back(jw.str());
   }
   t.print(std::cout);
-
-  // ---- Part 1c: lowering strategies on the batched path ---------------
-  // The strategy is a plan knob (it forks the plan key), so each strategy
-  // gets its own plan build. Phased is the reference; privatized must
-  // match it exactly on the integer fig1 kernel and to 1e-9 relative
-  // tolerance on the FP kernels. The Auto pick is
-  // resolved through the same cost model the compiler pass and the
-  // runtime use, and in full mode its measured rate must stay >= 0.9x of
-  // the best measured strategy on every mesh.
-  const core::StrategyKind strat_kinds[2] = {core::StrategyKind::Phased,
-                                             core::StrategyKind::Privatized};
-
-  Table st("lowering strategies: batched path per strategy (P=" +
-           std::to_string(procs) + ", k=" + std::to_string(k) + ")");
-  st.set_header({"kernel", "phased Medges/s", "privatized", "auto pick",
-                 "auto/best", "agree"});
-  bool strategies_agree = true;
-  double worst_auto_ratio = 1.0;
-  std::vector<std::string> strategy_json;
-  for (const Workload& w : workloads) {
-    const double total_edges =
-        static_cast<double>(w.num_edges) * static_cast<double>(sweeps);
-    core::SweepOptions sopt;
-    sopt.sweeps = sweeps;
-    sopt.batch = true;
-
-    core::NativeResult phased_res;
-    double rate[2] = {0.0, 0.0};
-    bool agree = true;
-    for (std::size_t i = 0; i < 2; ++i) {
-      core::PlanOptions spopt;
-      spopt.num_procs = procs;
-      spopt.k = k;
-      spopt.strategy = strat_kinds[i];
-      const core::ExecutionPlan plan =
-          core::build_execution_plan(*w.kernel, spopt);
-      core::NativeResult res;
-      const double s = best_run(*w.kernel, plan, sopt, reps, &res);
-      rate[i] = s > 0.0 ? total_edges / s : 0.0;
-      if (strat_kinds[i] == core::StrategyKind::Phased) {
-        phased_res = std::move(res);
-        continue;
-      }
-      const bool match =
-          w.exact_sums
-              ? same_arrays(res.reduction, phased_res.reduction) &&
-                    same_arrays(res.node_read, phased_res.node_read)
-              : near_arrays(res.reduction, phased_res.reduction, 1e-9) &&
-                    near_arrays(res.node_read, phased_res.node_read, 1e-9);
-      agree = agree && match;
-    }
-    strategies_agree = strategies_agree && agree;
-
-    const core::StrategyKind auto_pick = core::resolve_strategy(
-        core::StrategyKind::Auto,
-        core::strategy_inputs(w.kernel->shape(), procs, k));
-    double best_rate = 0.0, auto_rate = 0.0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      best_rate = std::max(best_rate, rate[i]);
-      if (strat_kinds[i] == auto_pick) auto_rate = rate[i];
-    }
-    const double auto_ratio = best_rate > 0.0 ? auto_rate / best_rate : 0.0;
-    worst_auto_ratio = std::min(worst_auto_ratio, auto_ratio);
-
-    st.add_row({w.name, fmt_f(rate[0] / 1e6, 2), fmt_f(rate[1] / 1e6, 2),
-                std::string(core::to_string(auto_pick)),
-                fmt_f(auto_ratio, 2) + "x", agree ? "yes" : "NO"});
-
-    JsonWriter jw;
-    jw.field("kernel", w.name)
-        .field("edges", w.num_edges)
-        .field("exact_sums", w.exact_sums)
-        .field("phased_edges_per_s", rate[0])
-        .field("privatized_edges_per_s", rate[1])
-        .field("auto_pick", std::string(core::to_string(auto_pick)))
-        .field("auto_over_best", auto_ratio)
-        .field("agree", agree);
-    strategy_json.push_back(jw.str());
-  }
-  st.print(std::cout);
 
   // ---- Part 2: serial vs parallel plan build --------------------------
   const unsigned hw = support::hardware_threads();
@@ -396,36 +271,6 @@ int run(const Options& opt) {
       small ? "(smoke mode: not gated)"
             : (speedup_ok ? "(>= 2x: PASS)" : "(< 2x: FAIL)"));
 
-  // Strategy gate: agreement (exact or tolerance per contract) is gated
-  // always; the Auto pick must reach 0.9x of the best measured strategy
-  // in full mode. 0.9x rather than 1.0x because the model prices memory
-  // traffic and synchronization, not cache residency — a 10% band keeps
-  // the gate meaningful without chasing run-to-run noise.
-  const bool strategy_auto_ok = small || worst_auto_ratio >= 0.9;
-  std::printf(
-      "strategies agree within contract: %s; worst auto/best ratio "
-      "%.2fx %s\n",
-      strategies_agree ? "yes" : "NO", worst_auto_ratio,
-      small ? "(smoke mode: not gated)"
-            : (strategy_auto_ok ? "(>= 0.9x: PASS)" : "(< 0.9x: FAIL)"));
-
-  if (opt.has("strategy-json")) {
-    JsonWriter w;
-    w.field("bench", "strategy")
-        .field("small", small)
-        .field("procs", static_cast<std::uint64_t>(procs))
-        .field("k", static_cast<std::uint64_t>(k))
-        .field("sweeps", static_cast<std::uint64_t>(sweeps))
-        .field("reps", static_cast<std::uint64_t>(reps))
-        .field("hardware_threads", static_cast<std::uint64_t>(hw))
-        .raw_field("kernels", json_array(strategy_json))
-        .field("agree", strategies_agree)
-        .field("worst_auto_over_best", worst_auto_ratio);
-    append_json_line(opt.get("strategy-json"), w.str());
-    std::printf("appended strategy JSON record to %s\n",
-                opt.get("strategy-json").c_str());
-  }
-
   if (opt.has("json")) {
     JsonWriter w;
     w.field("bench", "hotpath")
@@ -447,10 +292,7 @@ int run(const Options& opt) {
     append_json_line(opt.get("json"), w.str());
     std::printf("appended JSON record to %s\n", opt.get("json").c_str());
   }
-  return all_identical && speedup_ok && verify_ok && strategies_agree &&
-                 strategy_auto_ok
-             ? 0
-             : 1;
+  return all_identical && speedup_ok && verify_ok ? 0 : 1;
 }
 
 }  // namespace

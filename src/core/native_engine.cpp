@@ -141,12 +141,6 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
   const KernelShape shape = kernel.shape();
   ER_EXPECTS(opt.num_procs >= 1);
   ER_EXPECTS(opt.k >= 1);
-  // Fail a forced strategy the host cannot run at build time (the same
-  // E-STRATEGY-UNSUPPORTED the service's admission control reports)
-  // instead of on the first run of the cached plan.
-  (void)resolve_strategy(opt.strategy,
-                         strategy_inputs(shape, opt.num_procs, opt.k));
-
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint32_t P = opt.num_procs;
   ExecutionPlan plan{shape, opt,
@@ -616,147 +610,6 @@ NativeResult run_phased(const PhasedKernel& kernel,
   return result;
 }
 
-/// Privatized executor: every worker accumulates into a full private
-/// replica of the reduction arrays using the *direct* element ids (the
-/// plan's redirection undone via kernel.ref), then the replicas are
-/// folded into a shared result in fixed worker-ascending order over
-/// disjoint node ranges. The fixed fold order is the strategy's
-/// bit-identity contract: the batched and per-edge paths perform the
-/// same FP ops in the same order (the phased contract, inherited), and
-/// the merge adds replica 0, 1, ..., P-1 per element regardless of
-/// thread timing, so results never depend on interleaving.
-NativeResult run_privatized(const PhasedKernel& kernel,
-                            const ExecutionPlan& plan,
-                            const SweepOptions& opt) {
-  const KernelShape shape = kernel.shape();
-  const std::uint32_t P = plan.options.num_procs;
-  const std::uint32_t kp = P * plan.options.k;
-  const std::uint32_t RA = shape.num_reduction_arrays;
-  const std::uint32_t NA = shape.num_node_read_arrays;
-  const std::uint32_t N = shape.num_nodes;
-  const std::uint32_t R = shape.num_refs;
-  const bool first_touch = opt.affinity.first_touch;
-
-  // The shared arrays the fold writes and update_nodes reads/writes.
-  ProcArrays merged;
-  merged.reduction.assign(RA, std::vector<double>(N, 0.0));
-  merged.node_read.assign(NA, std::vector<double>(N, 0.0));
-  kernel.init_node_arrays(merged.node_read);
-
-  std::vector<ProcArrays> priv(P);
-  // direct[p][ph]: the worker's schedule with redirection undone — a
-  // flattened ref-major block of true element ids, same layout as the
-  // plan's indir_flat, so the kernels' batched phase loops run unchanged
-  // against the full-size replica.
-  std::vector<std::vector<std::vector<std::uint32_t>>> direct(P);
-
-  const auto init_proc_state = [&](std::uint32_t p) {
-    priv[p].reduction.assign(RA, std::vector<double>(N, 0.0));
-    priv[p].node_read.assign(NA, std::vector<double>(N, 0.0));
-    kernel.init_node_arrays(priv[p].node_read);
-    direct[p].resize(kp);
-    for (std::uint32_t ph = 0; ph < kp; ++ph) {
-      const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
-      const std::size_t iters = phase.iter_global.size();
-      std::vector<std::uint32_t>& flat = direct[p][ph];
-      flat.resize(iters * R);
-      for (std::uint32_t r = 0; r < R; ++r)
-        for (std::size_t j = 0; j < iters; ++j)
-          flat[static_cast<std::size_t>(r) * iters + j] =
-              kernel.ref(r, phase.iter_global[j]);
-    }
-  };
-  if (!first_touch)
-    for (std::uint32_t p = 0; p < P; ++p) init_proc_state(p);
-
-  const CostTags tags = make_cost_tags(RA, NA);
-  NativeResult result;
-  const std::uint32_t sweeps = opt.sweeps;
-  std::barrier sync(static_cast<std::ptrdiff_t>(P));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(P);
-  for (std::uint32_t p = 0; p < P; ++p) {
-    threads.emplace_back([&, p] {
-      if (opt.affinity.pin_threads) pin_current_thread(p);
-      if (first_touch) {
-        init_proc_state(p);
-        sync.arrive_and_wait();
-      }
-      earth::FiberContext ctx = earth::FiberContext::detached(p);
-      ProcArrays& ps = priv[p];
-      std::vector<std::uint32_t> redirected(R);
-      // This worker's node range: it folds, updates and publishes
-      // exactly these elements.
-      const std::uint32_t lo = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * p / P);
-      const std::uint32_t hi = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(N) * (p + 1) / P);
-
-      for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
-        for (std::uint32_t ph = 0; ph < kp; ++ph) {
-          const inspector::PhaseSchedule& phase = plan.insp[p].phases[ph];
-          const std::size_t iters = phase.iter_global.size();
-          const std::vector<std::uint32_t>& flat = direct[p][ph];
-          if (opt.batch) {
-            PhaseView view;
-            view.iter_global = phase.iter_global;
-            view.iter_local = phase.iter_local;
-            view.indir = flat;
-            view.num_iters = iters;
-            view.num_refs = R;
-            kernel.compute_phase(ctx, tags, view, ps);
-          } else {
-            for (std::size_t j = 0; j < iters; ++j) {
-              for (std::uint32_t r = 0; r < R; ++r)
-                redirected[r] = flat[static_cast<std::size_t>(r) * iters + j];
-              kernel.compute_edge(ctx, tags, phase.iter_global[j],
-                                  phase.iter_local[j], redirected, ps);
-            }
-          }
-        }
-
-        // All replicas complete before anyone folds.
-        sync.arrive_and_wait();
-
-        // Fixed-order fold over this worker's node range: replica 0
-        // first, then ascending — the deterministic-merge contract.
-        for (std::uint32_t a = 0; a < RA; ++a) {
-          for (std::uint32_t v = lo; v < hi; ++v) {
-            double sum = priv[0].reduction[a][v];
-            for (std::uint32_t q = 1; q < P; ++q)
-              sum += priv[q].reduction[a][v];
-            merged.reduction[a][v] = sum;
-          }
-        }
-        kernel.update_nodes(ctx, tags, lo, hi, lo, merged);
-
-        // Publish before anyone reads another range or zeroes a replica
-        // someone may still be folding from.
-        sync.arrive_and_wait();
-
-        if (sweep + 1 < sweeps) {
-          for (std::uint32_t a = 0; a < RA; ++a)
-            std::fill(ps.reduction[a].begin(), ps.reduction[a].end(), 0.0);
-          for (std::uint32_t a = 0; a < NA; ++a)
-            std::copy(merged.node_read[a].begin(),
-                      merged.node_read[a].end(), ps.node_read[a].begin());
-          sync.arrive_and_wait();
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  result.reduction = std::move(merged.reduction);
-  result.node_read = std::move(merged.node_read);
-  return result;
-}
-
 }  // namespace
 
 NativeResult run_native_plan(const PhasedKernel& kernel,
@@ -773,25 +626,7 @@ NativeResult run_native_plan(const PhasedKernel& kernel,
                        plan.shape.num_node_read_arrays,
                "execution plan was built for a differently-shaped kernel");
 
-  // Resolve the lowering strategy once, before any worker spawns: Auto
-  // picks through the cost model.
-  const StrategyKind strategy = resolve_strategy(
-      plan.options.strategy,
-      strategy_inputs(shape, plan.options.num_procs, plan.options.k));
-
-  NativeResult result;
-  switch (strategy) {
-    case StrategyKind::Privatized:
-      result = run_privatized(kernel, plan, opt);
-      break;
-    case StrategyKind::Auto:  // unreachable after resolution
-    case StrategyKind::Phased:
-      result = run_phased(kernel, plan, opt);
-      break;
-  }
-  result.strategy = strategy;
-
-  return result;
+  return run_phased(kernel, plan, opt);
 }
 
 NativeResult run_native_engine(const PhasedKernel& kernel,

@@ -28,9 +28,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/kernel.hpp"
-#include "core/strategy.hpp"
 #include "inspector/distribution.hpp"
 #include "inspector/light_inspector.hpp"
 #include "inspector/plan_verifier.hpp"
@@ -66,13 +66,6 @@ struct PlanOptions {
 #else
   bool verify = true;
 #endif
-  /// Lowering strategy (core/strategy.hpp): Auto resolves through the
-  /// cost model each time the plan runs; a concrete value forces that
-  /// executor. Strategies can change result bits, so — unlike verify —
-  /// this IS part of the PlanCache key and the persisted plan
-  /// header. Appended last so positional aggregate initializers written
-  /// before the field existed stay valid.
-  StrategyKind strategy = StrategyKind::Auto;
 };
 
 /// Compatibility shim for the frozen benchmark harness (bench/e2e), which
@@ -81,6 +74,13 @@ struct PlanOptions {
 /// compile-time constant; the shim goes when a benchmark change drops
 /// that metric.
 enum class LayoutKind : std::uint8_t { None = 0 };
+
+/// Compatibility shim for the same harness, which counts jobs by the
+/// executor that served them (`core.jobs_phased` / `core.jobs_privatized`)
+/// through `JobOutcome::strategy` and `ServiceStats::served_*`. Every
+/// native run is phased, so those read constants; the shim goes with the
+/// layout one.
+enum class StrategyKind : std::uint8_t { Phased, Privatized };
 
 /// The reusable preprocessing product: rotation schedule plus one
 /// LightInspector result per processor. Immutable after build —
@@ -199,9 +199,6 @@ struct NativeResult {
   std::vector<std::vector<double>> reduction;
   /// Final node read arrays.
   std::vector<std::vector<double>> node_read;
-  /// Concrete lowering strategy that executed (never Auto; the executor
-  /// resolves the plan's request through core/strategy.hpp).
-  StrategyKind strategy = StrategyKind::Phased;
 };
 
 /// Executes `sweeps` time steps of `kernel` under a prebuilt plan. The

@@ -66,15 +66,16 @@ bool decode_header(std::span<const std::byte> bytes, PlanFileHeader* out,
   h.num_refs = r.u32();
   h.num_reduction_arrays = r.u32();
   h.num_node_read_arrays = r.u32();
-  // The (formerly reserved) strategy field. Values above the known
-  // range — including 3, the retired atomic strategy — are rejected like
-  // any other structural inconsistency; files from before strategies
-  // existed wrote 0 == Auto.
-  h.strategy = r.u32();
-  if (h.strategy > static_cast<std::uint32_t>(StrategyKind::Privatized))
+  // Reserved, once the requested lowering strategy: 0 (auto) and 1
+  // (phased) both ran the phased executor, the only one left; anything
+  // else asked for a retired executor.
+  const std::uint32_t strategy = r.u32();
+  if (strategy > 1)
     return fail("E-STORE-PARSE",
-                strformat("unknown lowering strategy %u in header",
-                          h.strategy));
+                strformat("header strategy field reads %u; only 0 and 1 "
+                          "(phased) are accepted, other executors are "
+                          "retired",
+                          strategy));
   h.payload_bytes = r.u64();
   h.payload_checksum = r.u64();
   // v2 reserved fields (once the retired layout pass's kinds and tile
@@ -237,7 +238,7 @@ std::vector<std::byte> serialize_plan(const ExecutionPlan& plan,
   file.u32(plan.shape.num_refs);
   file.u32(plan.shape.num_reduction_arrays);
   file.u32(plan.shape.num_node_read_arrays);
-  file.u32(static_cast<std::uint32_t>(plan.options.strategy));
+  file.u32(0);  // reserved (retired strategy request)
   file.u64(payload.size());
   file.u64(support::fast_hash64(payload.bytes().data(), payload.size()));
   for (int i = 0; i < 3; ++i) file.u32(0);  // reserved
@@ -327,7 +328,6 @@ PlanLoadResult load_plan_file(const std::string& path) {
       static_cast<inspector::Distribution>(h.distribution);
   plan.options.block_cyclic_size = h.block_cyclic_size;
   plan.options.inspector.dedup_buffers = h.dedup_buffers != 0;
-  plan.options.strategy = static_cast<StrategyKind>(h.strategy);
   // The load itself is the proof; re-verification on use is the
   // admission paths' call, not an obligation baked into the plan.
   plan.options.verify = false;
@@ -375,8 +375,7 @@ bool plans_bit_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
       a.options.k != b.options.k ||
       a.options.distribution != b.options.distribution ||
       a.options.inspector.dedup_buffers !=
-          b.options.inspector.dedup_buffers ||
-      a.options.strategy != b.options.strategy)
+          b.options.inspector.dedup_buffers)
     return false;
   if (a.options.distribution == inspector::Distribution::BlockCyclic &&
       a.options.block_cyclic_size != b.options.block_cyclic_size)

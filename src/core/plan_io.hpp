@@ -14,8 +14,7 @@
 //       52  u32 num_nodes
 //       56  u64 num_edges
 //       64  u32 num_refs, num_reduction_arrays, num_node_read_arrays,
-//           strategy (requested StrategyKind; 0 == Auto, which is also
-//           what pre-strategy files wrote as their reserved field)
+//           reserved (once a strategy request; reads 0 or 1)
 //       80  u64 payload_bytes
 //       88  u64 payload_checksum      support::fast_hash64 of the payload
 //       96  u32 reserved[3], pad     (must read 0)
@@ -47,7 +46,7 @@
 //   E-STORE-CHECKSUM  payload hash mismatch (reported in preference to
 //                     parse/verify failures: corruption names its cause)
 //   E-STORE-PARSE     structurally inconsistent with the header counts,
-//                     or a reserved field that does not read 0
+//                     or a reserved field outside its accepted values
 //   E-STORE-VERIFY    parsed, but failed the budget-mode plan verifier
 //   E-STORE-KEY       (PlanStore::load) header identity does not match
 //                     the requested key
@@ -88,9 +87,6 @@ struct PlanFileHeader {
   std::uint32_t num_refs = 0;
   std::uint32_t num_reduction_arrays = 0;
   std::uint32_t num_node_read_arrays = 0;
-  /// Requested StrategyKind as u32 (0 == Auto; pre-strategy files wrote
-  /// a zero reserved field here, which decodes as Auto unchanged).
-  std::uint32_t strategy = 0;
   std::uint64_t payload_bytes = 0;
   std::uint64_t payload_checksum = 0;
 };

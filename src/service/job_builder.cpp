@@ -30,7 +30,7 @@ const std::set<std::string>& known_keys() {
       "seed",    "procs",   "k",           "dist",    "bc",
       "dedup",   "sweeps",  "deadline",    "engine",  "name",
       "batch",   "no-batch","pin",         "parallel-build",
-      "verify",  "mutate",  "mutate-seed", "dsl",     "strategy"};
+      "verify",  "mutate",  "mutate-seed", "dsl"};
   return keys;
 }
 
@@ -131,10 +131,6 @@ void request_from_keys(const Options& jopt, JobRequest& req) {
   if (engine == "sim" || engine == "rotation") req.simulated = true;
   else ER_CHECK_MSG(engine == "native",
                     "unknown engine '" + engine + "'");
-  // Plan knob: the strategy can change result bits, so it enters
-  // PlanOptions (and with it the cache key, the persisted plan header,
-  // and shard routing when forced).
-  req.plan.strategy = core::parse_strategy(jopt.get("strategy", "auto"));
 }
 
 }  // namespace

@@ -75,32 +75,6 @@ JobHandle JobScheduler::submit(JobRequest req) {
     reject("malformed request: null kernel");
     return handle;
   }
-  // Strategy admission: a forced privatized strategy whose replica
-  // memory would bust the budget rejects here with
-  // "E-STRATEGY-UNSUPPORTED" (and a misspelled EARTHRED_FORCE_STRATEGY
-  // with "E-STRATEGY-NAME"), never as a fault inside a worker;
-  // `strategy=auto` always resolves and never rejects.
-  if (!req.simulated) {
-    try {
-      const core::KernelShape shape = req.kernel->shape();
-      const core::StrategyKind forced =
-          core::effective_strategy(req.plan.strategy);
-      if (forced == core::StrategyKind::Privatized) {
-        const std::uint64_t bytes =
-            core::privatized_replica_bytes(shape, req.plan.num_procs);
-        if (bytes > cfg_.max_replica_bytes)
-          throw check_error(strformat(
-              "E-STRATEGY-UNSUPPORTED: privatized replicas need %llu "
-              "bytes, over the %llu-byte admission budget; use "
-              "strategy=auto or fewer procs",
-              static_cast<unsigned long long>(bytes),
-              static_cast<unsigned long long>(cfg_.max_replica_bytes)));
-      }
-    } catch (const check_error& e) {
-      reject(e.what(), &rejected_strategy_);
-      return handle;
-    }
-  }
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -238,10 +212,6 @@ void JobScheduler::worker_loop() {
       --in_flight_;
       if (out.state == JobState::Done) {
         ++completed_;
-        if (out.strategy == core::StrategyKind::Privatized)
-          ++served_privatized_;
-        else
-          ++served_phased_;
       } else if (out.state == JobState::Rejected) {
         // Worker-resolved rejects (plan verification) land in the same
         // lifetime tally as admission rejects, plus their own bucket.
@@ -338,7 +308,6 @@ JobOutcome JobScheduler::execute(Queued& job) {
       const auto t1 = Clock::now();
       out.native = core::run_native_plan(*req.kernel, *plan, sopt);
       out.exec_seconds = seconds_since(t1);
-      out.strategy = out.native.strategy;
     }
     out.state = JobState::Done;
   } catch (const verify_error& e) {
@@ -364,10 +333,8 @@ ServiceStats JobScheduler::stats() const {
     s.rejected_dsl = rejected_dsl_;
     s.rejected_plan = rejected_plan_;
     s.rejected_deadline = rejected_deadline_;
-    s.rejected_strategy = rejected_strategy_;
-    s.served_phased = served_phased_;
-    s.served_privatized = served_privatized_;
     s.completed = completed_;
+    s.served_phased = completed_;
     s.failed = failed_;
     s.queue_depth = queue_.size();
     s.in_flight = in_flight_;

@@ -127,10 +127,8 @@ struct JobOutcome {
   double plan_build_seconds = 0.0;
   double exec_seconds = 0.0;   ///< sweep execution wall time
   double total_seconds = 0.0;  ///< admission to resolution
-  /// Concrete lowering strategy that served the job (native jobs; mirrors
-  /// NativeResult::strategy — never Auto. Simulated jobs run the rotation
-  /// engine, i.e. Phased).
-  core::StrategyKind strategy = core::StrategyKind::Phased;
+  /// Always Phased: see the StrategyKind shim in core/native_engine.hpp.
+  static constexpr core::StrategyKind strategy = core::StrategyKind::Phased;
   core::NativeResult native;       ///< filled for native jobs
   core::RunResult simulated_run;   ///< filled for simulated jobs
 };
@@ -174,14 +172,6 @@ class JobScheduler {
     /// Default per-wait stall bound for jobs that don't set their own.
     double default_deadline = 30.0;
     PlanCache::Config cache{};
-    /// Admission budget for the privatized strategy's replica memory
-    /// (P full copies of every reduction array). A job *forcing*
-    /// strategy=privatized past this budget is rejected with
-    /// "E-STRATEGY-UNSUPPORTED"; auto-resolved jobs are steered away by
-    /// the cost model instead of rejected. Appended after `cache` so
-    /// positional aggregate initializers written before the field
-    /// existed stay valid.
-    std::uint64_t max_replica_bytes = 2ull << 30;
   };
 
   JobScheduler() : JobScheduler(Config{}) {}
@@ -254,9 +244,6 @@ class JobScheduler {
   std::uint64_t rejected_dsl_ = 0;   ///< DSL legality errors at admission
   std::uint64_t rejected_plan_ = 0;  ///< plan-verifier rejects
   std::uint64_t rejected_deadline_ = 0;  ///< expired at pickup during drain
-  std::uint64_t rejected_strategy_ = 0;  ///< unsupported strategy requests
-  std::uint64_t served_phased_ = 0;      ///< Done jobs by serving strategy
-  std::uint64_t served_privatized_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t in_flight_ = 0;

@@ -47,7 +47,6 @@ PlanKey make_plan_key(const core::PhasedKernel& kernel,
   key.distribution = opt.distribution;
   key.block_cyclic_size = opt.block_cyclic_size;
   key.dedup_buffers = opt.inspector.dedup_buffers;
-  key.strategy = opt.strategy;
   return key;
 }
 
@@ -283,8 +282,7 @@ std::uint64_t PlanCache::resident_key_digest(std::uint64_t* entries) const {
     fnv_mix(h, (static_cast<std::uint64_t>(key.num_procs) << 32) | key.k);
     fnv_mix(h, (static_cast<std::uint64_t>(key.distribution) << 32) |
                    key.block_cyclic_size);
-    fnv_mix(h, (key.dedup_buffers ? 1ull : 0ull) |
-                   (static_cast<std::uint64_t>(key.strategy) << 1));
+    fnv_mix(h, key.dedup_buffers ? 1ull : 0ull);
   }
   if (entries) *entries = n;
   return h;

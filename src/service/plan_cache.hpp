@@ -51,12 +51,6 @@ struct PlanKey {
   inspector::Distribution distribution = inspector::Distribution::Cyclic;
   std::uint32_t block_cyclic_size = 0;
   bool dedup_buffers = false;
-  /// Requested lowering strategy (the plan's schedule is the same either
-  /// way, but plan.options.strategy drives run_native_plan's dispatch —
-  /// a cached Auto plan must never satisfy a forced request or vice
-  /// versa). Auto-resolution is deterministic per shape, so keying the
-  /// *request* keeps one self-consistent entry per request kind.
-  core::StrategyKind strategy = core::StrategyKind::Auto;
 
   friend auto operator<=>(const PlanKey&, const PlanKey&) = default;
 };

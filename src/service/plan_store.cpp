@@ -30,10 +30,6 @@ std::string PlanStore::path_for(const PlanKey& key) const {
   if (key.distribution == inspector::Distribution::BlockCyclic)
     name += "-bc" + std::to_string(key.block_cyclic_size);
   if (key.dedup_buffers) name += "-dedup";
-  // Auto adds no suffix so files written before strategies existed keep
-  // resolving to the same path.
-  if (key.strategy != core::StrategyKind::Auto)
-    name += "-" + std::string(core::to_string(key.strategy));
   return dir_ + "/" + name + ".plan";
 }
 
@@ -51,8 +47,7 @@ core::PlanLoadResult PlanStore::load(const PlanKey& key) const {
       header->distribution !=
           static_cast<std::uint32_t>(key.distribution) ||
       header->block_cyclic_size != key.block_cyclic_size ||
-      (header->dedup_buffers != 0) != key.dedup_buffers ||
-      header->strategy != static_cast<std::uint32_t>(key.strategy)) {
+      (header->dedup_buffers != 0) != key.dedup_buffers) {
     out.error_code = "E-STORE-KEY";
     out.detail = "stored plan identity does not match the requested key "
                  "(renamed or aliased file)";

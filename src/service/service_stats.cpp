@@ -21,11 +21,6 @@ void ServiceStats::print(std::ostream& os, const std::string& title) const {
              fmt_group(static_cast<long long>(rejected_plan))});
   t.add_row({"  rejected: deadline at drain",
              fmt_group(static_cast<long long>(rejected_deadline))});
-  t.add_row({"  rejected: unsupported strategy",
-             fmt_group(static_cast<long long>(rejected_strategy))});
-  t.add_row({"served by strategy (phased/privatized)",
-             fmt_group(static_cast<long long>(served_phased)) + " / " +
-                 fmt_group(static_cast<long long>(served_privatized))});
   t.add_row({"queue depth", fmt_group(static_cast<long long>(queue_depth))});
   t.add_row({"in flight", fmt_group(static_cast<long long>(in_flight))});
   t.add_row({"job latency p50 (s)", fmt_f(p50_latency, 4)});

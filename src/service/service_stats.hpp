@@ -21,18 +21,13 @@ struct ServiceStats {
   /// picked them up — rejected with the deadline reason, never silently
   /// completed late.
   std::uint64_t rejected_deadline = 0;
-  /// Jobs forcing a privatized strategy whose replica memory exceeds the
-  /// admission budget ("E-STRATEGY-UNSUPPORTED"); `strategy=auto` never
-  /// trips this.
-  std::uint64_t rejected_strategy = 0;
   std::uint64_t completed = 0;  ///< finished successfully
   std::uint64_t failed = 0;     ///< raised (deadline stall, bad shapes, ...)
 
-  // Completed jobs by the lowering strategy that served them (after auto
-  // resolution; simulated jobs run the rotation engine and count as
-  // phased).
-  std::uint64_t served_phased = 0;
-  std::uint64_t served_privatized = 0;
+  // Shim for the frozen benchmark harness (see StrategyKind in
+  // core/native_engine.hpp): every completed job ran phased.
+  std::uint64_t served_phased = 0;  ///< equals `completed`
+  static constexpr std::uint64_t served_privatized = 0;
 
   // Instantaneous occupancy.
   std::uint64_t queue_depth = 0;

@@ -153,8 +153,7 @@ std::uint64_t content_key(std::string_view job_line) {
       {"dist", "cyclic"},  {"bc", "16"},      {"dedup", "0"}};
 
   std::map<std::string, std::string> values = kDefaults;
-  std::string junk;      // unparseable tokens, folded for determinism
-  std::string strategy;  // routing only when forced (non-auto)
+  std::string junk;  // unparseable tokens, folded for determinism
   for (const std::string& tok : split(trim(job_line), ' ')) {
     const std::string_view t = trim(tok);
     if (t.empty()) continue;
@@ -162,14 +161,6 @@ std::uint64_t content_key(std::string_view job_line) {
     std::string key(t.substr(0, eq));
     std::string value(eq == std::string_view::npos ? std::string_view("")
                                                    : t.substr(eq + 1));
-    if (key == "strategy") {
-      // A forced strategy IS plan identity (it can change result bits
-      // and forks the plan-cache key), so it routes —
-      // but the default/explicit "auto" adds nothing, keeping every
-      // pre-strategy job line on its original shard.
-      if (value != "auto") strategy = std::move(value);
-      continue;
-    }
     const auto it = values.find(key);
     if (it == values.end()) {
       // Known non-routing keys (sweeps=, name=, ...) are skipped; unknown
@@ -211,7 +202,6 @@ std::uint64_t content_key(std::string_view job_line) {
     canonical += value;
     canonical += '|';
   }
-  if (!strategy.empty()) canonical += "strategy=" + strategy + "|";
   canonical += junk;
   return support::fast_hash64(canonical.data(), canonical.size());
 }

@@ -79,10 +79,6 @@ TEST(BatchEquivalence, BitIdenticalAcrossKernelsDistributionsAndK) {
         popt.num_procs = 4;
         popt.k = k;
         popt.distribution = dist;
-        // This is a bit-identity gate for the *phased* executor; pin the
-        // strategy so the CI strategy-matrix env cannot reroute it onto
-        // a lowering with a different summation order.
-        popt.strategy = StrategyKind::Phased;
         const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
 
         SweepOptions sopt;
@@ -125,7 +121,6 @@ TEST(BatchEquivalence, CpuidTiersBitIdenticalToPerEdgeReference) {
         PlanOptions popt;
         popt.num_procs = 4;
         popt.k = k;
-        popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
         const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
 
         SweepOptions sopt;
@@ -150,7 +145,6 @@ TEST(BatchEquivalence, AffinityKnobsDoNotChangeResults) {
   PlanOptions popt;
   popt.num_procs = 4;
   popt.k = 2;
-  popt.strategy = StrategyKind::Phased;  // bit-identity gate: pin
   const ExecutionPlan plan = build_execution_plan(kernel, popt);
 
   SweepOptions sopt;
@@ -230,45 +224,6 @@ TEST(BatchEquivalence, ByteSizeCountsPhaseData) {
       flat_bytes += ph.indir_flat.size() * sizeof(std::uint32_t);
   EXPECT_GT(flat_bytes, 0u);
   EXPECT_GE(small_plan.byte_size(), flat_bytes);
-}
-
-TEST(BatchEquivalence, StrategySweepKeepsExecutorContracts) {
-  // The strategy sweep of the original equivalence gate: for both
-  // strategies, the batched executor must reproduce that strategy's
-  // per-edge run bit for bit, and report the strategy it ran.
-  const std::vector<NamedKernel> kernels = make_kernels();
-  for (const NamedKernel& nk : kernels) {
-    for (const auto dist : {inspector::Distribution::Block,
-                            inspector::Distribution::Cyclic,
-                            inspector::Distribution::BlockCyclic}) {
-      for (const std::uint32_t k : {1u, 2u, 4u}) {
-        for (const StrategyKind s :
-             {StrategyKind::Phased, StrategyKind::Privatized}) {
-          PlanOptions popt;
-          popt.num_procs = 4;
-          popt.k = k;
-          popt.distribution = dist;
-          popt.strategy = s;
-          const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
-
-          SweepOptions sopt;
-          sopt.sweeps = 3;
-          sopt.batch = false;
-          const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
-          EXPECT_EQ(edge.strategy, s);
-          sopt.batch = true;
-          const NativeResult batch = run_native_plan(*nk.kernel, plan, sopt);
-          EXPECT_EQ(batch.strategy, s);
-
-          expect_results_identical(
-              edge, batch,
-              nk.name + " strategy=" + std::string(to_string(s)) +
-                  " dist=" + std::to_string(static_cast<int>(dist)) +
-                  " k=" + std::to_string(k));
-        }
-      }
-    }
-  }
 }
 
 TEST(BatchEquivalence, InspectorFlattensIndirConsistently) {

@@ -89,8 +89,6 @@ TEST(NativeEngine, RepeatedRunsAreDeterministic) {
   plan_opt.num_procs = 5;
   plan_opt.k = 2;
   sweep_opt.sweeps = 4;
-  // Pin phased so the CI strategy-matrix env cannot reroute this test.
-  plan_opt.strategy = StrategyKind::Phased;
   const NativeResult a = run_native_engine(kernel, plan_opt, sweep_opt);
   const NativeResult b = run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t arr = 0; arr < a.node_read.size(); ++arr)
@@ -146,9 +144,6 @@ TEST(NativeEngine, LostForwardTripsStallWatchdog) {
   plan_opt.k = 2;
   sweep_opt.sweeps = 3;
   sweep_opt.stall_timeout = 0.5;
-  // The faulted ring forward only exists in the phased executor; pin the
-  // strategy so auto cannot route around the fault.
-  plan_opt.strategy = StrategyKind::Phased;
   sweep_opt.lose_forward = {true, 0, 0, 0};
   try {
     run_native_engine(kernel, plan_opt, sweep_opt);

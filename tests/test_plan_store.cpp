@@ -174,6 +174,51 @@ TEST(PlanStore, RetiredLayoutFieldsMustReadZero) {
       *r.plan, core::build_execution_plan(corpus_kernel, plan_opts())));
 }
 
+TEST(PlanStore, RetiredStrategyFieldAcceptsOnlyPhasedRequests) {
+  // The header u32 at offset 76 once held the requested lowering
+  // strategy: 0 auto, 1 phased, 2 privatized, 3 atomic. Files with 0 or
+  // 1 ran the phased executor and still load, into the same plan; 2 and
+  // up asked for a retired executor and are E-STORE-PARSE. The checksum
+  // covers only the payload, so the header edit is the only defect.
+  const auto kernel = make_kernel();
+  const core::PlanOptions opt = plan_opts();
+  const core::ExecutionPlan plan = core::build_execution_plan(kernel, opt);
+  const PlanKey key = make_plan_key(kernel, opt);
+  const std::vector<std::byte> good =
+      core::serialize_plan(plan, key.content_hash);
+  ASSERT_EQ(good[76], std::byte{0});  // the writer leaves it reserved
+
+  ScratchStore scratch;
+  const PlanStore store(scratch.dir);
+  fs::create_directories(scratch.dir);
+  const auto load_with = [&](std::uint8_t value) {
+    auto bytes = good;
+    bytes[76] = std::byte{value};
+    write_file(store.path_for(key), bytes);
+    return store.load(key);
+  };
+  const core::PlanLoadResult zero = load_with(0);
+  const core::PlanLoadResult one = load_with(1);
+  ASSERT_TRUE(zero.ok()) << zero.error_code << ": " << zero.detail;
+  ASSERT_TRUE(one.ok()) << one.error_code << ": " << one.detail;
+  EXPECT_TRUE(core::plans_bit_identical(*zero.plan, *one.plan));
+  EXPECT_TRUE(core::plans_bit_identical(*one.plan, plan));
+  for (const std::uint8_t retired : {2, 3, 0xff}) {
+    const core::PlanLoadResult r = load_with(retired);
+    EXPECT_FALSE(r.ok()) << int{retired};
+    EXPECT_EQ(r.error_code, "E-STORE-PARSE") << int{retired} << ": "
+                                             << r.detail;
+  }
+
+  // The committed keystore/ plan, written before the privatized
+  // executor was retired, still loads by path.
+  const fs::path committed = fs::path(EARTHRED_SOURCE_DIR) / "examples" /
+                             "plans" / "bad" / "keystore" /
+                             "p0000000000000000-P4-k2-cyclic.plan";
+  const core::PlanLoadResult r = core::load_plan_file(committed.string());
+  EXPECT_TRUE(r.ok()) << r.error_code << ": " << r.detail;
+}
+
 TEST(PlanStore, MissingKeyIsOpenError) {
   ScratchStore scratch;
   const PlanStore store(scratch.dir);

@@ -18,6 +18,7 @@
 #include "kernels/fig1.hpp"
 #include "kernels/moldyn.hpp"
 #include "mesh/generators.hpp"
+#include "service/job_builder.hpp"
 #include "service/job_scheduler.hpp"
 #include "support/check.hpp"
 
@@ -284,9 +285,6 @@ TEST(JobScheduler, DeadlineStallSurfacesAsFailedJob) {
           mesh::make_geometric_mesh({100, 600, 11})));
   req.name = "stalling";
   req.plan = plan_opts(4, 2);
-  // The lost-forward hook faults the rotation ring, which only exists in
-  // the phased executor — pin it so auto cannot route around the fault.
-  req.plan.strategy = core::StrategyKind::Phased;
   req.sweeps = 3;
   req.deadline_seconds = 0.3;
   req.lose_forward = {true, 0, 0, 0};
@@ -605,7 +603,6 @@ TEST(JobSchedulerNotify, WorkerOutcomesNotifyOnceAfterTheHandleIsReady) {
             JobState::Done);
   // The lost-forward hook stalls the phased ring; the deadline fails it.
   JobRequest stall = small_job("failed", 0.3);
-  stall.plan.strategy = core::StrategyKind::Phased;
   stall.lose_forward = {true, 0, 0, 0};
   EXPECT_EQ(failed.submit(sched, std::move(stall)).wait().state,
             JobState::Failed);
@@ -659,6 +656,47 @@ TEST(JobSchedulerNotify, AbortQueuedNotifiesOnce) {
   sched.drain();
   EXPECT_EQ(blocker.calls, 1);
   EXPECT_EQ(blocker.ready_calls, 1);
+}
+
+// ---- the executor-count shim and retired job keys ----------------------
+
+TEST(StrategyService, ServedCountersTallyPerStrategy) {
+  // Every completed job ran the phased executor, so the counters the
+  // benchmark harness reads (JobOutcome::strategy, served_phased /
+  // served_privatized) report every job as phased.
+  JobScheduler sched;
+  for (const bool simulated : {false, true}) {
+    JobRequest req = small_job(simulated ? "sim" : "native");
+    req.simulated = simulated;
+    const JobHandle h = sched.submit(std::move(req));
+    const JobOutcome& o = h.wait();
+    ASSERT_EQ(o.state, JobState::Done) << o.error;
+    EXPECT_EQ(o.strategy, core::StrategyKind::Phased);
+  }
+  JobRequest bad = small_job("failed", 0.3);
+  bad.lose_forward = {true, 0, 0, 0};  // stalls the ring: not served
+  const JobHandle failed = sched.submit(std::move(bad));
+  EXPECT_EQ(failed.wait().state, JobState::Failed);
+
+  const ServiceStats s = sched.stats();
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.served_phased, 2u);
+  EXPECT_EQ(s.served_privatized, 0u);
+}
+
+TEST(StrategyService, BuilderRejectsRetiredSpellings) {
+  // The retired backend=, layout= and strategy= keys fail as coded job
+  // errors, never as a silently ignored token.
+  JobBuilder builder;
+  for (const char* retired :
+       {"backend=avx2", "layout=rcm", "layout=none", "strategy=privatized",
+        "strategy=phased", "strategy=auto", "strategy=atomic"}) {
+    const JobBuild b = builder.build(
+        std::string("kernel=fig1 nodes=100 edges=500 procs=4 k=2 ") +
+        retired);
+    EXPECT_FALSE(b.ok()) << retired;
+    EXPECT_EQ(b.code, "E-JOB-KEY") << retired << ": " << b.detail;
+  }
 }
 
 }  // namespace

@@ -358,12 +358,13 @@ TEST(Router, JobCodesPropagateWithoutFailover) {
 }
 
 TEST(Router, RetiredKeysAreCodedRejects) {
-  // backend= and layout= are no longer job keys: routed like any unknown
-  // token, the owning shard's JobBuilder refuses them with E-JOB-KEY, and
-  // the fleet keeps serving.
+  // backend=, layout= and strategy= are no longer job keys: routed like
+  // any unknown token, the owning shard's JobBuilder refuses them with
+  // E-JOB-KEY, and the fleet keeps serving.
   TestFleet fleet(2);
   net::Client client(fleet.client_config());
-  for (const char* retired : {"backend=avx512", "layout=rcm"}) {
+  for (const char* retired :
+       {"backend=avx512", "layout=rcm", "strategy=privatized"}) {
     const net::Client::Reply r = client.submit(
         std::string("kernel=fig1 nodes=80 edges=400 procs=4 k=2 ") +
         retired);
@@ -375,7 +376,7 @@ TEST(Router, RetiredKeysAreCodedRejects) {
       client.submit("kernel=fig1 nodes=80 edges=400 procs=4 k=2 sweeps=2");
   ASSERT_TRUE(ok.ok()) << ok.code << ": " << ok.detail;
   EXPECT_EQ(static_cast<JobState>(ok.result.state), JobState::Done);
-  EXPECT_EQ(fleet.router->stats().submit_rejects, 2u);
+  EXPECT_EQ(fleet.router->stats().submit_rejects, 3u);
 }
 
 TEST(Router, PingReportsRouterHealth) {

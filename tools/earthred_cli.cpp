@@ -14,11 +14,6 @@
 //                        path, default on) [--pin] (worker pinning +
 //                        first-touch) [--parallel-build[=T]] (plan build
 //                        task pool; T omitted = all cores)
-//                        [--strategy=auto|phased|privatized]
-//                        (lowering strategy: phased rotation engine or
-//                        per-worker privatized replicas with a fixed
-//                        worker-ascending fold; auto scores both with
-//                        the cost model in src/core/strategy.cpp)
 //                        fault injection (engine=rotation only):
 //                        [--fault-drop=p] [--fault-corrupt=p]
 //                        [--fault-dup=p] [--fault-delay=p]
@@ -27,21 +22,15 @@
 //   earthred compile    --file=loop.dsl [--emit]
 //   earthred check      <loop.dsl> | --file=loop.dsl
 //                        [--explain] [--json] [--Werror]
-//                        [--strategy=auto|phased|privatized]
-//                        [--procs=P] [--k=K]
-//                        (reduction-legality analysis + per-loop lowering
-//                        strategy selection: prints every diagnostic with
-//                        source snippets; --explain adds I-STRATEGY-*
-//                        notes and the rendered lowering plan; --strategy
-//                        forces one lowering and reports what auto would
-//                        have picked; --procs/--k parameterize the cost
-//                        model; --json emits one machine-readable object
-//                        (diagnostics + per-loop strategy scores) on
-//                        stdout. Exit 1 on errors, 2 with --Werror when
-//                        warnings remain, else 0.)
+//                        (reduction-legality analysis + per-loop
+//                        reduction chains: prints every diagnostic with
+//                        source snippets; --explain adds
+//                        I-STRATEGY-CHAIN notes and the rendered lowering
+//                        plan; --json emits one machine-readable object
+//                        (diagnostics + per-loop chains) on stdout. Exit
+//                        1 on errors, 2 with --Werror when warnings
+//                        remain, else 0.)
 //   earthred batch      --jobs=jobs.txt [--workers=W] [--queue=N]
-//                        [--strategy=...] (default lowering strategy for
-//                        jobs without their own strategy= key)
 //                        [--cache-mb=M] [--no-cache] [--deadline=S]
 //                        [--plan-store=DIR] (persistent plan tier: plans
 //                        load zero-copy from DIR and new builds persist)
@@ -110,13 +99,9 @@
 // dist=block|cyclic|bc [bc=CHUNK], sweeps=N, [dedup], [deadline=S],
 // [engine=native|sim], [name=LABEL], [no-batch], [pin],
 // [parallel-build[=T]], [verify=on|off] (plan verification before the
-// sweeps; defaults to the build type's PlanOptions::verify),
-// [strategy=auto|phased|privatized] (lowering strategy; forced
-// privatized replicas over the admission byte budget are rejected with
-// E-STRATEGY-UNSUPPORTED, auto never rejects). Jobs on the same mesh
-// share one cached execution plan (see src/service/plan_cache.hpp); a
-// concrete strategy= forks the plan key, since strategies may legally
-// differ in floating-point summation order.
+// sweeps; defaults to the build type's PlanOptions::verify). Jobs on the
+// same mesh share one cached execution plan (see
+// src/service/plan_cache.hpp).
 //
 // Adaptive jobs: mutate=N [mutate-seed=S] rewires N random interactions
 // of the job's mesh and submits the mutated kernel with the *base* mesh's
@@ -153,7 +138,6 @@
 #include "compiler/codegen.hpp"
 #include "compiler/compiler.hpp"
 #include "compiler/strategy.hpp"
-#include "core/strategy.hpp"
 #include "core/classic_engine.hpp"
 #include "core/native_engine.hpp"
 #include "core/reduction_engine.hpp"
@@ -344,18 +328,6 @@ int cmd_run(const Options& opt) {
   const auto dist = inspector::parse_distribution(opt.get("dist", "cyclic"));
   const std::string engine = opt.get("engine", "rotation");
 
-  // --strategy picks a native lowering (phased rotation or privatized
-  // replicas); the simulated engines only model the phased rotation, so
-  // a concrete strategy is refused there.
-  if (opt.has("strategy")) {
-    const core::StrategyKind requested =
-        core::parse_strategy(opt.get("strategy"));
-    if (engine != "native" && requested != core::StrategyKind::Auto)
-      throw check_error("--strategy=" + opt.get("strategy") +
-                        " only applies to --engine=native (the '" + engine +
-                        "' engine simulates the phased rotation only)");
-  }
-
   if (opt.get_bool("check", false)) {
     // Prove the plan before running anything: full structural invariants
     // plus the kernel indirection cross-check. Engine-independent — the
@@ -396,7 +368,6 @@ int cmd_run(const Options& opt) {
     popt.num_procs = procs;
     popt.k = k;
     popt.distribution = dist;
-    popt.strategy = core::parse_strategy(opt.get("strategy", "auto"));
     core::SweepOptions wopt;
     wopt.sweeps = sweeps;
     hotpath_from_options(opt, popt, wopt);
@@ -407,7 +378,6 @@ int cmd_run(const Options& opt) {
     t.add_row({"executor", wopt.batch ? strformat("batched (%s)",
                                                   kernels::ops::batch_tier())
                                         : "per-edge"});
-    t.add_row({"strategy", std::string(core::to_string(r.strategy))});
   } else {
     core::RunResult r;
     if (engine == "classic") {
@@ -529,25 +499,13 @@ std::string lowering_plan_json(const compiler::LoweringPlan& plan) {
                  c.elem == compiler::ElemType::Real ? "real" : "int")
           .field("updates_per_iteration",
                  static_cast<std::uint64_t>(c.updates_per_iteration))
-          .field("has_subtract", c.has_subtract)
-          .field("fanin", c.fanin);
+          .field("has_subtract", c.has_subtract);
       chains.push_back(cw.str());
-    }
-    std::vector<std::string> scores;
-    for (const core::StrategyCost& s : ls.scores) {
-      JsonWriter sw;
-      sw.field("strategy", std::string(core::to_string(s.strategy)))
-          .field("cost_per_edge", s.cost_per_edge)
-          .field("rationale", s.rationale);
-      scores.push_back(sw.str());
     }
     JsonWriter lw;
     lw.field("line", ls.line)
         .field("legal", ls.legal)
-        .field("strategy", std::string(core::to_string(ls.chosen)))
-        .field("rationale", ls.rationale)
-        .raw_field("chains", json_array(chains))
-        .raw_field("scores", json_array(scores));
+        .raw_field("chains", json_array(chains));
     loops.push_back(lw.str());
   }
   return json_array(loops);
@@ -563,9 +521,6 @@ int cmd_check(const Options& opt) {
 
   compiler::StrategyContext ctx;
   ctx.explain = opt.get_bool("explain", false);
-  ctx.forced = core::parse_strategy(opt.get("strategy", "auto"));
-  ctx.num_procs = static_cast<std::uint32_t>(opt.get_int("procs", 4));
-  ctx.k = static_cast<std::uint32_t>(opt.get_int("k", 2));
   const compiler::StrategyReport sr =
       compiler::check_source_with_strategies(source, ctx);
   const compiler::CheckReport& report = sr.check;
@@ -668,11 +623,6 @@ service::JobScheduler::Config scheduler_config(const Options& opt) {
 int run_service(std::istream& jobs_in, const Options& opt) {
   service::JobScheduler sched(scheduler_config(opt));
   service::JobBuilder builder;  // local front end: file IO allowed
-  // Service-wide default lowering strategy: jobs whose line doesn't pick
-  // a concrete strategy= run on this; auto defers to the per-shape cost
-  // model at execution time.
-  const core::StrategyKind default_strategy =
-      core::parse_strategy(opt.get("strategy", "auto"));
 
   service::install_shutdown_signals();
 
@@ -695,11 +645,8 @@ int run_service(std::istream& jobs_in, const Options& opt) {
             {"line " + std::to_string(lineno), b.code, b.detail});
       continue;
     }
-    for (service::JobRequest& req : b.requests) {
-      if (req.plan.strategy == core::StrategyKind::Auto)
-        req.plan.strategy = default_strategy;
+    for (service::JobRequest& req : b.requests)
       handles.push_back(sched.submit(std::move(req)));
-    }
   }
 
   // Signal-aware wait: poll readiness instead of blocking, so the first
@@ -761,8 +708,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
     if (o.state == service::JobState::Done && o.simulated_run.total_cycles)
       detail = fmt_group(static_cast<long long>(
                    o.simulated_run.total_cycles)) + " cycles";
-    else if (o.state == service::JobState::Done && !o.simulated)
-      detail = "strategy=" + std::string(core::to_string(o.strategy));
     t.add_row({o.name, to_string(o.state),
                o.state == service::JobState::Rejected
                    ? "-"
@@ -782,8 +727,7 @@ int run_service(std::istream& jobs_in, const Options& opt) {
           .field("exec_seconds", o.exec_seconds)
           .field("total_seconds", o.total_seconds);
       if (o.state == service::JobState::Done && !o.simulated)
-        w.field("strategy", std::string(core::to_string(o.strategy)))
-            .field("digest",
+        w.field("digest",
                 strformat("%016llx",
                           static_cast<unsigned long long>(
                               service::result_digest(o.native))));
@@ -802,9 +746,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
         .field("completed", stats.completed)
         .field("failed", stats.failed)
         .field("rejected", stats.rejected)
-        .field("rejected_strategy", stats.rejected_strategy)
-        .field("served_phased", stats.served_phased)
-        .field("served_privatized", stats.served_privatized)
         .field("p50_latency_s", stats.p50_latency)
         .field("p95_latency_s", stats.p95_latency)
         .field("p99_latency_s", stats.p99_latency)
@@ -930,9 +871,6 @@ int run_netserve(const Options& opt) {
   limits.allow_file_io = false;
   auto builder = std::make_shared<service::JobBuilder>(limits);
   auto lineno = std::make_shared<std::size_t>(0);
-  // Same default-strategy rule as the stdin/batch front end.
-  const core::StrategyKind default_strategy =
-      core::parse_strategy(opt.get("strategy", "auto"));
 
   service::ServeConfig scfg;
   scfg.host = opt.get("host", "127.0.0.1");
@@ -945,13 +883,8 @@ int run_netserve(const Options& opt) {
 
   service::ServeLoop loop(
       sched,
-      [builder, lineno, default_strategy](std::string_view job_line) {
-        service::JobBuild b = builder->build(job_line, ++*lineno);
-        for (service::JobRequest& req : b.requests) {
-          if (req.plan.strategy == core::StrategyKind::Auto)
-            req.plan.strategy = default_strategy;
-        }
-        return b;
+      [builder, lineno](std::string_view job_line) {
+        return builder->build(job_line, ++*lineno);
       },
       scfg);
   std::string error;

@@ -105,6 +105,11 @@ int main(int argc, char** argv) {
   }
   {
     auto b = good;
+    b[76] = std::byte{0x02};  // u32 strategy: the retired privatized value
+    write_file(dir / "parse-privatized-retired.plan", b);
+  }
+  {
+    auto b = good;
     b[96] = std::byte{0x01};  // u32 reserved: the retired layout kind
     write_file(dir / "parse-layout-retired.plan", b);
   }
