@@ -10,12 +10,18 @@
 // produces a plan indistinguishable from the serial build.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/native_engine.hpp"
+#include "core/plan_io.hpp"
 #include "inspector/light_inspector.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
@@ -224,6 +230,65 @@ TEST(BatchEquivalence, ByteSizeCountsPhaseData) {
       flat_bytes += ph.indir_flat.size() * sizeof(std::uint32_t);
   EXPECT_GT(flat_bytes, 0u);
   EXPECT_GE(small_plan.byte_size(), flat_bytes);
+}
+
+TEST(BatchEquivalence, StrategySweepKeepsExecutorContracts) {
+  // The strategy sweep of the original equivalence gate, over the
+  // strategy requests a stored plan may still carry: header field 0
+  // (auto) and 1 (phased) both load and run the phased executor. A plan
+  // loaded under either value, its arrays viewing the file mapping, must
+  // sweep batched bit for bit like the freshly built plan's per-edge run.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("earthred-test-batch-strategy-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  constexpr std::size_t kStrategyFieldOffset = 76;
+
+  const std::vector<NamedKernel> kernels = make_kernels();
+  for (const NamedKernel& nk : kernels) {
+    for (const auto dist : {inspector::Distribution::Block,
+                            inspector::Distribution::Cyclic,
+                            inspector::Distribution::BlockCyclic}) {
+      for (const std::uint32_t k : {1u, 2u, 4u}) {
+        PlanOptions popt;
+        popt.num_procs = 4;
+        popt.k = k;
+        popt.distribution = dist;
+        const ExecutionPlan plan = build_execution_plan(*nk.kernel, popt);
+
+        SweepOptions sopt;
+        sopt.sweeps = 3;
+        sopt.batch = false;
+        const NativeResult edge = run_native_plan(*nk.kernel, plan, sopt);
+        sopt.batch = true;
+
+        std::vector<std::byte> bytes = serialize_plan(plan, 0);
+        ASSERT_GT(bytes.size(), kPlanHeaderBytes);
+        for (const std::uint8_t requested : {0, 1}) {
+          const std::string what =
+              nk.name + " strategy-field=" + std::to_string(requested) +
+              " dist=" + std::to_string(static_cast<int>(dist)) +
+              " k=" + std::to_string(k);
+          bytes[kStrategyFieldOffset] = std::byte{requested};
+          const fs::path path = dir / "plan.plan";
+          {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char*>(bytes.data()),
+                      static_cast<std::streamsize>(bytes.size()));
+          }
+          const PlanLoadResult loaded = load_plan_file(path.string());
+          ASSERT_TRUE(loaded.ok())
+              << what << ": " << loaded.error_code << " " << loaded.detail;
+          const NativeResult batch =
+              run_native_plan(*nk.kernel, *loaded.plan, sopt);
+          expect_results_identical(edge, batch, what);
+        }
+      }
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(BatchEquivalence, InspectorFlattensIndirConsistently) {

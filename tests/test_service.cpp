@@ -684,13 +684,29 @@ TEST(StrategyService, ServedCountersTallyPerStrategy) {
   EXPECT_EQ(s.served_privatized, 0u);
 }
 
-TEST(StrategyService, BuilderRejectsRetiredSpellings) {
-  // The retired backend=, layout= and strategy= keys fail as coded job
-  // errors, never as a silently ignored token.
+TEST(StrategyService, BuilderParsesStrategyJobKey) {
+  // strategy= is no longer a job key: every value, the formerly valid
+  // phased, auto and privatized included, is an E-JOB-KEY naming it,
+  // while the same line without the key builds the job.
   JobBuilder builder;
-  for (const char* retired :
-       {"backend=avx2", "layout=rcm", "layout=none", "strategy=privatized",
-        "strategy=phased", "strategy=auto", "strategy=atomic"}) {
+  const std::string line = "kernel=fig1 nodes=100 edges=500 procs=4 k=2";
+  const JobBuild plain = builder.build(line);
+  ASSERT_TRUE(plain.ok()) << plain.code << ": " << plain.detail;
+  EXPECT_EQ(plain.requests.size(), 1u);
+  for (const char* value :
+       {"phased", "auto", "privatized", "atomic", "bogus"}) {
+    const JobBuild b = builder.build(line + " strategy=" + value);
+    EXPECT_FALSE(b.ok()) << value;
+    EXPECT_EQ(b.code, "E-JOB-KEY") << value << ": " << b.detail;
+    EXPECT_NE(b.detail.find("'strategy'"), std::string::npos) << b.detail;
+  }
+}
+
+TEST(StrategyService, BuilderRejectsRetiredSpellings) {
+  // The retired backend= and layout= keys fail as coded job errors,
+  // never as a silently ignored token.
+  JobBuilder builder;
+  for (const char* retired : {"backend=avx2", "layout=rcm", "layout=none"}) {
     const JobBuild b = builder.build(
         std::string("kernel=fig1 nodes=100 edges=500 procs=4 k=2 ") +
         retired);
