@@ -144,42 +144,35 @@ bool parse_payload(const PlanFileHeader& h,
     for (inspector::PhaseSchedule& ph : insp.phases) {
       ph.iter_global.adopt(r.u32_array());
       ph.iter_local.adopt(r.u32_array());
-      const std::span<const std::uint32_t> flat = r.u32_array();
-      ph.indir_flat.adopt(flat);
+      ph.indir_flat.adopt(r.u32_array());
       ph.copy_dst.adopt(r.u32_array());
       ph.copy_src.adopt(r.u32_array());
       if (r.fail()) return fail("payload ends inside a phase record");
       const std::size_t n = ph.iter_global.size();
       if (ph.iter_local.size() != n ||
-          flat.size() != static_cast<std::size_t>(h.num_refs) * n ||
+          ph.indir_flat.size() != static_cast<std::size_t>(h.num_refs) * n ||
           ph.copy_dst.size() != ph.copy_src.size())
         return fail(strformat("processor %u: phase array lengths "
                               "disagree with each other or with "
                               "num_refs=%u",
                               p, h.num_refs));
-      // Reconstruct the indir rows as subspans of the flattened block —
-      // the stored form carries no independent row data, and the shared
-      // pointers are what lets the verifier prove the flatten invariant
-      // by identity.
-      ph.indir.resize(h.num_refs);
-      for (std::uint32_t ref = 0; ref < h.num_refs; ++ref)
-        ph.indir[ref].adopt(flat.subspan(static_cast<std::size_t>(ref) * n,
-                                         n));
     }
     insp.assigned_phase.adopt(r.u32_array());
     insp.slot_elem.adopt(r.u32_array());
-    insp.free_slots.adopt(r.u32_array());
+    // Reserved: once the incremental update's free list, which is empty
+    // in every finished result.
+    const std::size_t free_slots = r.u32_array().size();
     if (r.fail()) return fail("payload ends inside a processor record");
     if (insp.slot_elem.size() != insp.num_buffer_slots)
       return fail(strformat("processor %u: %zu slot_elem entries for %u "
                             "buffer slots",
                             p, insp.slot_elem.size(),
                             insp.num_buffer_slots));
-    if (!insp.free_slots.empty())
+    if (free_slots != 0)
       return fail(strformat("processor %u is not canonical (%zu free "
                             "slots); stored plans must be patchable "
                             "bases",
-                            p, insp.free_slots.size()));
+                            p, free_slots));
     plan->insp.push_back(std::move(insp));
   }
   if (r.remaining() != 0)
@@ -211,15 +204,13 @@ std::vector<std::byte> serialize_plan(const ExecutionPlan& plan,
     for (const inspector::PhaseSchedule& ph : insp.phases) {
       payload.u32_array(ph.iter_global);
       payload.u32_array(ph.iter_local);
-      // The indir rows are derivable from the flattened block (the
-      // E-PLAN-FLAT invariant) and are deliberately not stored.
       payload.u32_array(ph.indir_flat);
       payload.u32_array(ph.copy_dst);
       payload.u32_array(ph.copy_src);
     }
     payload.u32_array(insp.assigned_phase);
     payload.u32_array(insp.slot_elem);
-    payload.u32_array(insp.free_slots);
+    payload.u32_array({});  // reserved: the free list, always empty
   }
 
   ByteWriter file;
@@ -388,7 +379,7 @@ bool plans_bit_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
         x.local_array_size != y.local_array_size ||
         x.phases.size() != y.phases.size() ||
         !(x.assigned_phase == y.assigned_phase) ||
-        !(x.slot_elem == y.slot_elem) || !(x.free_slots == y.free_slots))
+        !(x.slot_elem == y.slot_elem))
       return false;
     for (std::size_t ph = 0; ph < x.phases.size(); ++ph) {
       const inspector::PhaseSchedule& u = x.phases[ph];
@@ -396,10 +387,8 @@ bool plans_bit_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
       if (!(u.iter_global == v.iter_global) ||
           !(u.iter_local == v.iter_local) ||
           !(u.indir_flat == v.indir_flat) || !(u.copy_dst == v.copy_dst) ||
-          !(u.copy_src == v.copy_src) || u.indir.size() != v.indir.size())
+          !(u.copy_src == v.copy_src))
         return false;
-      for (std::size_t ref = 0; ref < u.indir.size(); ++ref)
-        if (!(u.indir[ref] == v.indir[ref])) return false;
     }
   }
   return true;

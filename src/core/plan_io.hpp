@@ -24,11 +24,10 @@
 // as a count + 8-byte-aligned data — the alignment that lets
 // load_plan_file adopt the arrays as views into the file's memory mapping
 // (zero-copy warm start; the mapping's lifetime is held by
-// ExecutionPlan::storage). Per-phase `indir` rows are not
-// serialized: only the flattened ref-major block is stored and the loader
-// reconstructs row r as the subspan indir_flat[r*n, (r+1)*n) — exactly
-// the flatten invariant the verifier's E-PLAN-FLAT check enforces, proven
-// on the loaded-plan fast path by pointer identity.
+// ExecutionPlan::storage). Each phase stores its indirection as the one
+// ref-major block the executors read (PhaseSchedule::indir_flat). Each
+// processor record ends with a reserved array, once the incremental
+// update's free list, that must be empty.
 //
 // Trust model: disk is untrusted input. A load is admitted only after
 // header identity (magic/endian/version/verifier), the payload checksum,

@@ -149,11 +149,12 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
             const std::uint64_t sweep = ctx.activation();
 
             // -- main loop: iterations assigned to this phase ----------
-            ctx.charge_intops(4 + phase.iter_global.size());
+            const std::size_t n = phase.iter_global.size();
+            ctx.charge_intops(4 + n);
             std::vector<std::uint32_t> redirected(shape.num_refs);
-            for (std::size_t j = 0; j < phase.iter_global.size(); ++j) {
+            for (std::size_t j = 0; j < n; ++j) {
               for (std::uint32_t r = 0; r < shape.num_refs; ++r) {
-                redirected[r] = phase.indir[r][j];
+                redirected[r] = phase.indir_flat[r * n + j];
                 ctx.load(tags.indir,
                          (ps.slot_base[ph] + j) * shape.num_refs + r, 4);
               }

@@ -8,15 +8,6 @@
 
 namespace earthred::inspector {
 
-void PhaseSchedule::flatten_indir() {
-  // clear() releases an adopted view without copying; the rows may still
-  // be views into the same mapping (kept alive by the plan's storage
-  // handle), so appending them below reads valid memory.
-  indir_flat.clear();
-  indir_flat.reserve(indir.size() * iter_global.size());
-  for (const U32Buf& row : indir) indir_flat.append(row);
-}
-
 std::vector<std::uint64_t> InspectorResult::phase_sizes() const {
   std::vector<std::uint64_t> sizes;
   sizes.reserve(phases.size());
@@ -43,12 +34,18 @@ void check_refs(const RotationSchedule& sched, const IterationRefs& iters) {
   }
 }
 
-/// Shared slot allocator for the full and incremental paths.
+/// Shared slot allocator for the full and incremental paths. The
+/// incremental update hands it the slots it freed; a fresh run has none.
 class SlotAllocator {
  public:
   SlotAllocator(InspectorResult& result, const RotationSchedule& sched,
-                std::uint32_t proc, bool dedup)
-      : result_(result), sched_(sched), proc_(proc), dedup_(dedup) {}
+                std::uint32_t proc, bool dedup,
+                std::vector<std::uint32_t> freed = {})
+      : result_(result),
+        sched_(sched),
+        proc_(proc),
+        dedup_(dedup),
+        free_(std::move(freed)) {}
 
   /// Returns the redirected index (num_elements + slot) for a reference to
   /// `elem` that is owned only in a later phase, adding the second-loop
@@ -60,9 +57,9 @@ class SlotAllocator {
         return sched_.num_elements() + it->second;
     }
     std::uint32_t slot;
-    if (!result_.free_slots.empty()) {
-      slot = result_.free_slots.back();
-      result_.free_slots.pop_back();
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
       result_.slot_elem[slot] = elem;
     } else {
       slot = result_.num_buffer_slots++;
@@ -77,37 +74,34 @@ class SlotAllocator {
     return sched_.num_elements() + slot;
   }
 
+  /// Redirected index of reference value `elem` for an iteration assigned
+  /// to phase `assigned`: the element itself when owned there, a buffer
+  /// slot otherwise.
+  std::uint32_t redirect(std::uint32_t elem, std::uint32_t assigned) {
+    const std::uint32_t ph =
+        sched_.owning_phase(proc_, sched_.portion_of(elem));
+    return ph == assigned ? elem : defer(elem);
+  }
+
  private:
   InspectorResult& result_;
   const RotationSchedule& sched_;
   std::uint32_t proc_;
   bool dedup_;
+  std::vector<std::uint32_t> free_;
   std::unordered_map<std::uint32_t, std::uint32_t> dedup_map_;
 };
 
-/// Assigns one iteration: computes its phase, appends it with redirected
-/// references.
-void place_iteration(const RotationSchedule& sched, std::uint32_t proc,
-                     const IterationRefs& iters, std::uint32_t local,
-                     InspectorResult& result, SlotAllocator& slots) {
-  const std::size_t nrefs = iters.num_refs();
-  // Step 1 (per iteration): earliest owning phase over all references.
+/// Phase an iteration with reference values `refs(r)` is assigned to: the
+/// earliest phase owning any of them.
+template <typename Refs>
+std::uint32_t assign_phase(const RotationSchedule& sched, std::uint32_t proc,
+                           std::size_t nrefs, Refs refs) {
   std::uint32_t assigned = sched.phases_per_sweep();
-  for (std::size_t r = 0; r < nrefs; ++r) {
-    const std::uint32_t ph =
-        sched.owning_phase(proc, sched.portion_of(iters.refs[r][local]));
-    assigned = std::min(assigned, ph);
-  }
-  // Step 2: append to the phase with redirected references.
-  PhaseSchedule& phase = result.phases[assigned];
-  phase.iter_global.push_back(iters.global_iter[local]);
-  phase.iter_local.push_back(local);
-  for (std::size_t r = 0; r < nrefs; ++r) {
-    const std::uint32_t elem = iters.refs[r][local];
-    const std::uint32_t ph = sched.owning_phase(proc, sched.portion_of(elem));
-    phase.indir[r].push_back(ph == assigned ? elem : slots.defer(elem));
-  }
-  result.assigned_phase[local] = assigned;
+  for (std::size_t r = 0; r < nrefs; ++r)
+    assigned = std::min(
+        assigned, sched.owning_phase(proc, sched.portion_of(refs(r))));
+  return assigned;
 }
 
 }  // namespace
@@ -118,17 +112,49 @@ InspectorResult run_light_inspector(const RotationSchedule& sched,
                                     const LightInspectorOptions& opt) {
   ER_EXPECTS(proc < sched.num_procs());
   check_refs(sched, iters);
+  const std::size_t nrefs = iters.num_refs();
+  const auto n_iters = static_cast<std::uint32_t>(iters.num_iterations());
+  const std::uint32_t n_phases = sched.phases_per_sweep();
 
   InspectorResult result;
-  result.phases.resize(sched.phases_per_sweep());
-  for (PhaseSchedule& p : result.phases) p.indir.resize(iters.num_refs());
-  result.assigned_phase.assign(iters.num_iterations(), 0);
+  result.phases.resize(n_phases);
+  result.assigned_phase.assign(n_iters, 0);
 
+  // Step 1 (per iteration): earliest owning phase over all references,
+  // counted per phase so every block is allocated once at its exact size.
+  const std::span<std::uint32_t> assigned = result.assigned_phase.mutate();
+  std::vector<std::uint32_t> count(n_phases, 0);
+  for (std::uint32_t i = 0; i < n_iters; ++i) {
+    assigned[i] = assign_phase(sched, proc, nrefs,
+                               [&](std::size_t r) { return iters.refs[r][i]; });
+    ++count[assigned[i]];
+  }
+  std::vector<std::span<std::uint32_t>> glob(n_phases), loc(n_phases),
+      flat(n_phases);
+  for (std::uint32_t ph = 0; ph < n_phases; ++ph) {
+    PhaseSchedule& phase = result.phases[ph];
+    phase.iter_global.resize(count[ph]);
+    phase.iter_local.resize(count[ph]);
+    phase.indir_flat.resize(nrefs * count[ph]);
+    glob[ph] = phase.iter_global.mutate();
+    loc[ph] = phase.iter_local.mutate();
+    flat[ph] = phase.indir_flat.mutate();
+  }
+
+  // Step 2: fill the blocks with redirected references. Visiting
+  // iterations in (local, ref) order is what numbers the buffer slots
+  // canonically (update_light_inspector relies on it).
   SlotAllocator slots(result, sched, proc, opt.dedup_buffers);
-  for (std::uint32_t i = 0; i < iters.num_iterations(); ++i)
-    place_iteration(sched, proc, iters, i, result, slots);
+  std::vector<std::uint32_t> fill(n_phases, 0);
+  for (std::uint32_t i = 0; i < n_iters; ++i) {
+    const std::uint32_t ph = assigned[i];
+    const std::size_t j = fill[ph]++;
+    glob[ph][j] = iters.global_iter[i];
+    loc[ph][j] = i;
+    for (std::size_t r = 0; r < nrefs; ++r)
+      flat[ph][r * count[ph] + j] = slots.redirect(iters.refs[r][i], ph);
+  }
 
-  for (PhaseSchedule& p : result.phases) p.flatten_indir();
   result.local_array_size =
       static_cast<std::uint64_t>(sched.num_elements()) +
       result.num_buffer_slots;
@@ -147,7 +173,7 @@ InspectorResult run_light_inspector(const RotationSchedule& sched,
 // the freed slots and the re-inserted references alone, via one merge
 // over the slot list — no full re-ranking of every reference. The only
 // O(total refs) work left is two branch-light sweeps of the resident
-// rows: a redirect count (to position the changed iterations among the
+// blocks: a redirect count (to position the changed iterations among the
 // survivors) and the redirect rewrite itself.
 InspectorResult update_light_inspector(const RotationSchedule& sched,
                                        std::uint32_t proc,
@@ -158,13 +184,9 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   ER_EXPECTS_MSG(!opt.dedup_buffers,
                  "incremental update supports the paper's one-slot-per-"
                  "reference scheme only");
-  ER_EXPECTS_MSG(previous.free_slots.empty(),
-                 "base result must be canonical (a fresh run or the output "
-                 "of a prior update)");
   const std::uint32_t n_elems = sched.num_elements();
   const std::size_t n_iters = previous.assigned_phase.size();
-  const std::size_t num_refs =
-      previous.phases.empty() ? 0 : previous.phases[0].indir.size();
+  const std::size_t num_refs = changes.empty() ? 0 : changes[0].refs.size();
   for (std::size_t i = 0; i < changes.size(); ++i) {
     const ChangedIteration& ch = changes[i];
     ER_EXPECTS_MSG(ch.local < n_iters, "changed iteration index out of range");
@@ -182,6 +204,10 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
         static_cast<std::uint64_t>(n_elems) + result.num_buffer_slots;
     return result;
   }
+  for (const PhaseSchedule& phase : previous.phases)
+    ER_EXPECTS_MSG(
+        phase.indir_flat.size() == num_refs * phase.iter_global.size(),
+        "one new reference value per reference slot");
 
   std::vector<std::uint32_t> cl;  // sorted changed locals
   cl.reserve(changes.size());
@@ -204,49 +230,51 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   for (std::uint32_t ph : affected) {
     PhaseSchedule& phase = result.phases[ph];
     const std::size_t n = phase.iter_local.size();
-    std::span<std::uint32_t> il = phase.iter_local.mutate();
-    std::span<std::uint32_t> ig = phase.iter_global.mutate();
-    std::vector<std::span<std::uint32_t>> rows;
-    rows.reserve(phase.indir.size());
-    for (U32Buf& row : phase.indir) rows.push_back(row.mutate());
+    const std::span<std::uint32_t> il = phase.iter_local.mutate();
+    const std::span<std::uint32_t> ig = phase.iter_global.mutate();
+    const std::span<std::uint32_t> flat = phase.indir_flat.mutate();
     std::size_t w = 0;
     for (std::size_t j = 0; j < n; ++j) {
       if (std::binary_search(cl.begin(), cl.end(), il[j])) {
-        for (const auto& row : rows)
-          if (row[j] >= n_elems) {
-            const std::uint32_t slot = row[j] - n_elems;
-            result.free_slots.push_back(slot);
-            freed.push_back({slot, il[j]});
-          }
+        for (std::size_t r = 0; r < num_refs; ++r)
+          if (const std::uint32_t v = flat[r * n + j]; v >= n_elems)
+            freed.push_back({v - n_elems, il[j]});
         continue;  // drop this entry
       }
       ig[w] = ig[j];
       il[w] = il[j];
-      for (auto& row : rows) row[w] = row[j];
+      for (std::size_t r = 0; r < num_refs; ++r)
+        flat[r * n + w] = flat[r * n + j];
       ++w;
     }
+    // Each row was compacted at its old offset r*n; close the gaps. The
+    // destination starts below the source (w < n: the phase lost an
+    // iteration), so a forward copy is safe.
+    for (std::size_t r = 1; w < n && r < num_refs; ++r)
+      std::copy(flat.begin() + r * n, flat.begin() + r * n + w,
+                flat.begin() + r * w);
     phase.iter_global.resize(w);
     phase.iter_local.resize(w);
-    for (U32Buf& row : phase.indir) row.resize(w);
+    phase.indir_flat.resize(num_refs * w);
   }
   // The fold entries that fed the freed slots are NOT compacted here:
-  // step 6 regenerates the second loop of every phase whose lists differ
+  // step 7 regenerates the second loop of every phase whose lists differ
   // from canonical, which necessarily includes every phase with a stale
   // entry — dropping them now would be a second pass for nothing.
 
   // --- 2. A[i]: number of old deferred references at positions before
   // (changes[i].local, 0) — the changed iteration's place in the old slot
   // order. Counted as surviving redirects with iter_local < local (one
-  // branch-light sweep of the resident rows) plus the freed slots of
+  // branch-light sweep of the resident blocks) plus the freed slots of
   // earlier changed iterations.
   std::vector<std::uint32_t> A(cl.size(), 0);
   {
     std::vector<std::uint32_t> bump(cl.size() + 1, 0);
     for (const PhaseSchedule& phase : result.phases) {
       const std::uint32_t* il = phase.iter_local.data();
-      for (const U32Buf& rowbuf : phase.indir) {
-        const std::uint32_t* row = rowbuf.data();
-        const std::size_t n = rowbuf.size();
+      const std::size_t n = phase.iter_local.size();
+      for (std::size_t r = 0; r < num_refs; ++r) {
+        const std::uint32_t* row = phase.indir_flat.data() + r * n;
         for (std::size_t j = 0; j < n; ++j)
           if (row[j] >= n_elems)
             ++bump[static_cast<std::size_t>(
@@ -265,32 +293,25 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     }
   }
 
-  // --- 3. Re-insert the changed iterations with their new references,
-  // recording where each one landed. Insertion order follows `changes`
-  // (ascending local), so each phase's appended tail is already sorted.
-  SlotAllocator slots(result, sched, proc, /*dedup=*/false);
-  struct Landing {
-    std::uint32_t phase;
-    std::uint32_t pos;
-  };
-  std::vector<Landing> landed;
-  landed.reserve(changes.size());
-  for (const ChangedIteration& ch : changes) {
-    std::uint32_t assigned = sched.phases_per_sweep();
-    for (std::uint32_t v : ch.refs)
-      assigned = std::min(assigned,
-                          sched.owning_phase(proc, sched.portion_of(v)));
-    PhaseSchedule& phase = result.phases[assigned];
-    landed.push_back(
-        {assigned, static_cast<std::uint32_t>(phase.iter_global.size())});
-    phase.iter_global.push_back(ch.global);
-    phase.iter_local.push_back(ch.local);
-    for (std::size_t r = 0; r < num_refs; ++r) {
-      const std::uint32_t elem = ch.refs[r];
-      const std::uint32_t ph =
-          sched.owning_phase(proc, sched.portion_of(elem));
-      phase.indir[r].push_back(ph == assigned ? elem : slots.defer(elem));
-    }
+  std::vector<std::uint32_t> freed_sorted;
+  freed_sorted.reserve(freed.size());
+  for (const FreedSlot& f : freed) freed_sorted.push_back(f.slot);
+  std::sort(freed_sorted.begin(), freed_sorted.end());
+
+  // --- 3. Place the changed iterations with their new references,
+  // reusing the freed slots: landed[i] is change i's phase,
+  // newvals[i * num_refs + r] its redirected reference r. Step 5 merges
+  // them into the blocks.
+  SlotAllocator slots(result, sched, proc, /*dedup=*/false, freed_sorted);
+  std::vector<std::uint32_t> landed(changes.size());
+  std::vector<std::uint32_t> newvals(changes.size() * num_refs);
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    const ChangedIteration& ch = changes[i];
+    const std::uint32_t assigned = assign_phase(
+        sched, proc, num_refs, [&](std::size_t r) { return ch.refs[r]; });
+    landed[i] = assigned;
+    for (std::size_t r = 0; r < num_refs; ++r)
+      newvals[i * num_refs + r] = slots.redirect(ch.refs[r], assigned);
     result.assigned_phase[ch.local] = assigned;
   }
 
@@ -300,10 +321,6 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   // i sits immediately before survivor rank A[i] - |freed below A[i]|,
   // ordered among its peers by (local, ref). One pass over the slot ids
   // yields both the final slot_elem and the temp-id -> final-id map.
-  std::vector<std::uint32_t> freed_sorted;
-  freed_sorted.reserve(freed.size());
-  for (const FreedSlot& f : freed) freed_sorted.push_back(f.slot);
-  std::sort(freed_sorted.begin(), freed_sorted.end());
 
   struct NewRef {
     std::uint32_t key;   // survivor rank it precedes
@@ -317,16 +334,15 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
                    std::lower_bound(freed_sorted.begin(), freed_sorted.end(),
                                     A[i]) -
                    freed_sorted.begin());
-    const PhaseSchedule& phase = result.phases[landed[i].phase];
     for (std::size_t r = 0; r < num_refs; ++r) {
-      const std::uint32_t v = phase.indir[r][landed[i].pos];
+      const std::uint32_t v = newvals[i * num_refs + r];
       if (v >= n_elems)
         newrefs.push_back({key, v - n_elems, result.slot_elem[v - n_elems]});
     }
   }
 
   const std::uint32_t s_old = previous.num_buffer_slots;
-  // Indexed by the ids currently in the rows: surviving old ids plus
+  // Indexed by the ids currently in the blocks: surviving old ids plus
   // whatever the allocator handed out (reused freed ids and fresh ids
   // starting at s_old).
   std::vector<std::uint32_t> slot_map(s_old + newrefs.size());
@@ -357,71 +373,67 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     }
   }
 
-  // --- 5. Restore increasing-local-iteration order in the phases that
-  // grew a tail (the fresh run's emission order). The body kept its order
-  // through removal and the tail was appended in ascending order, so this
-  // is a two-pointer merge, not a sort.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> tails;  // phase, count
-  for (const Landing& l : landed) {
-    auto it = std::find_if(tails.begin(), tails.end(),
-                           [&](const auto& t) { return t.first == l.phase; });
-    if (it == tails.end())
-      tails.emplace_back(l.phase, 1);
-    else
-      ++it->second;
-  }
-  for (const auto& [ph, t] : tails) {
+  // --- 5. Merge each receiving phase's changed iterations into its body
+  // in increasing local-iteration order (the fresh run's emission order).
+  // The body kept its order through removal and the changes of one phase
+  // arrive in ascending local order, so this is a two-pointer merge that
+  // writes each grown phase's arrays once, at their final size.
+  std::vector<std::uint32_t> by_phase(changes.size());
+  for (std::size_t i = 0; i < changes.size(); ++i)
+    by_phase[i] = static_cast<std::uint32_t>(i);
+  std::stable_sort(by_phase.begin(), by_phase.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return landed[a] < landed[b];
+                   });
+  for (std::size_t g = 0; g < by_phase.size();) {
+    const std::uint32_t ph = landed[by_phase[g]];
+    std::size_t g_end = g;
+    while (g_end < by_phase.size() && landed[by_phase[g_end]] == ph) ++g_end;
     PhaseSchedule& phase = result.phases[ph];
-    const std::size_t n = phase.iter_local.size();
+    const std::size_t body = phase.iter_local.size();
+    const std::size_t n = body + (g_end - g);
     const std::uint32_t* il = phase.iter_local.data();
-    const std::size_t body = n - t;
-    if (body == 0 || il[body - 1] < il[body]) continue;  // already ordered
-    std::vector<std::uint32_t> idx(n);
-    std::size_t b = 0, ti = body, w = 0;
-    while (b < body && ti < n)
-      idx[w++] = static_cast<std::uint32_t>(il[b] < il[ti] ? b++ : ti++);
-    while (b < body) idx[w++] = static_cast<std::uint32_t>(b++);
-    while (ti < n) idx[w++] = static_cast<std::uint32_t>(ti++);
-    const auto apply = [&](U32Buf& buf) {
-      const std::uint32_t* src = buf.data();
-      std::vector<std::uint32_t> out(n);
-      for (std::size_t j = 0; j < n; ++j) out[j] = src[idx[j]];
-      buf.clear();
-      buf.append(out);
-    };
-    apply(phase.iter_global);
-    apply(phase.iter_local);
-    for (U32Buf& row : phase.indir) apply(row);
+    const std::uint32_t* ig = phase.iter_global.data();
+    const std::uint32_t* flat = phase.indir_flat.data();
+    std::vector<std::uint32_t> out_ig(n), out_il(n), out_flat(num_refs * n);
+    std::size_t b = 0, t = g;
+    for (std::size_t w = 0; w < n; ++w) {
+      if (t < g_end && (b == body || changes[by_phase[t]].local < il[b])) {
+        const std::uint32_t i = by_phase[t++];
+        out_ig[w] = changes[i].global;
+        out_il[w] = changes[i].local;
+        for (std::size_t r = 0; r < num_refs; ++r)
+          out_flat[r * n + w] = newvals[i * num_refs + r];
+      } else {
+        out_ig[w] = ig[b];
+        out_il[w] = il[b];
+        for (std::size_t r = 0; r < num_refs; ++r)
+          out_flat[r * n + w] = flat[r * body + b];
+        ++b;
+      }
+    }
+    phase.iter_global = U32Buf(std::move(out_ig));
+    phase.iter_local = U32Buf(std::move(out_il));
+    phase.indir_flat = U32Buf(std::move(out_flat));
+    g = g_end;
   }
 
-  // --- 6. Rewrite redirects through the renumbering map. Rows whose
+  // --- 6. Rewrite redirects through the renumbering map. Blocks whose
   // redirects all keep their ids are left untouched — for a plan patched
   // off a store-loaded base they stay zero-copy views into the mapping.
-  std::vector<std::uint32_t> dirty;  // phases needing re-flatten
-  const auto mark_dirty = [&](std::uint32_t ph) {
-    if (std::find(dirty.begin(), dirty.end(), ph) == dirty.end())
-      dirty.push_back(ph);
-  };
-  for (std::uint32_t ph : affected) mark_dirty(ph);
-  for (const auto& [ph, t] : tails) mark_dirty(ph);
-  for (std::uint32_t ph = 0;
-       ph < static_cast<std::uint32_t>(result.phases.size()); ++ph) {
-    PhaseSchedule& phase = result.phases[ph];
-    for (U32Buf& rowbuf : phase.indir) {
-      const std::uint32_t* row = rowbuf.data();
-      const std::size_t n = rowbuf.size();
-      std::size_t j = 0;
-      while (j < n &&
-             !(row[j] >= n_elems && slot_map[row[j] - n_elems] + n_elems !=
-                                        row[j]))
-        ++j;
-      if (j == n) continue;
-      std::span<std::uint32_t> wrow = rowbuf.mutate();
-      for (; j < n; ++j)
-        if (wrow[j] >= n_elems)
-          wrow[j] = n_elems + slot_map[wrow[j] - n_elems];
-      mark_dirty(ph);
-    }
+  for (PhaseSchedule& phase : result.phases) {
+    const std::uint32_t* flat = phase.indir_flat.data();
+    const std::size_t m = phase.indir_flat.size();
+    std::size_t j = 0;
+    while (j < m &&
+           !(flat[j] >= n_elems &&
+             slot_map[flat[j] - n_elems] + n_elems != flat[j]))
+      ++j;
+    if (j == m) continue;
+    const std::span<std::uint32_t> wflat = phase.indir_flat.mutate();
+    for (; j < m; ++j)
+      if (wflat[j] >= n_elems)
+        wflat[j] = n_elems + slot_map[wflat[j] - n_elems];
   }
 
   // --- 7. Regenerate the second loop in canonical slot order (the fresh
@@ -457,8 +469,6 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   result.num_buffer_slots = static_cast<std::uint32_t>(new_slot_elem.size());
   result.slot_elem.clear();
   result.slot_elem.append(new_slot_elem);
-  result.free_slots.clear();
-  for (std::uint32_t ph : dirty) result.phases[ph].flatten_indir();
   result.local_array_size =
       static_cast<std::uint64_t>(n_elems) + result.num_buffer_slots;
   return result;

@@ -66,25 +66,26 @@ struct PhaseSchedule {
   /// Local iteration indices (into IterationRefs rows) parallel to
   /// iter_global; consumed by the incremental update.
   U32Buf iter_local;
-  /// indir[r][j]: redirected index for reference slot r of the j-th
-  /// iteration of this phase. Values < num_elements address the reduction
-  /// array directly (always within the portion owned this phase for the
-  /// reference that determined the assignment); values >= num_elements
-  /// address buffer slots.
-  std::vector<U32Buf> indir;
-  /// Flattened structure-of-arrays copy of `indir`: one contiguous block,
-  /// ref-major (`indir_flat[r * n + j] == indir[r][j]` where n is the
-  /// phase's iteration count). Built by the inspector once the phase
-  /// contents are final; batch executors (core::PhaseView) stream this
-  /// block instead of chasing `num_refs` separate heap vectors.
+  /// Redirected indirection of every reference slot in one contiguous
+  /// ref-major block: `indir_flat[r * n + j]` (n the phase's iteration
+  /// count) is the redirected index for reference slot r of the j-th
+  /// iteration. Values < num_elements address the reduction array directly
+  /// (always within the portion owned this phase for the reference that
+  /// determined the assignment); values >= num_elements address buffer
+  /// slots. Batch executors (core::PhaseView) stream the block as is.
   U32Buf indir_flat;
   /// Second loop: element copy_dst[j] (owned this phase) accumulates
   /// buffer slot copy_src[j] (>= num_elements).
   U32Buf copy_dst;
   U32Buf copy_src;
 
-  /// Rebuilds `indir_flat` from the `indir` rows.
-  void flatten_indir();
+  /// Row r of `indir_flat` — the paper's per-reference `indirN_out` array
+  /// (Figure 3) for this phase. The block must hold row r; verify_plan
+  /// proves that for every row (E-PLAN-SHAPE).
+  std::span<const std::uint32_t> indir_row(std::size_t r) const noexcept {
+    const std::size_t n = iter_global.size();
+    return {indir_flat.data() + r * n, n};
+  }
 };
 
 /// Full LightInspector output for one processor.
@@ -99,8 +100,6 @@ struct InspectorResult {
   U32Buf assigned_phase;
   /// Element a buffer slot folds into (slot -> element).
   U32Buf slot_elem;
-  /// Slots freed by incremental updates, available for reuse.
-  U32Buf free_slots;
 
   /// Iterations per phase (load-balance analysis, Sec. 5.4.3).
   std::vector<std::uint64_t> phase_sizes() const;
@@ -136,14 +135,14 @@ struct ChangedIteration {
 /// to the fresh run's canonical form (verified by property tests in
 /// tests/test_plan_patch.cpp); the point is cost — the work is
 /// proportional to the touched iterations plus light linear sweeps (a
-/// redirect count and a redirect rewrite over the resident rows) instead
-/// of a full rebuild with its reference gather and per-reference phase
-/// arithmetic.
+/// redirect count and a redirect rewrite over the resident blocks)
+/// instead of a full rebuild with its reference gather and per-reference
+/// phase arithmetic.
 ///
 /// `previous` must be canonical — a fresh run or the output of a prior
-/// update (in particular free_slots must be empty); `changes` must be
-/// sorted by `local` with no duplicates, and every entry must carry one
-/// new reference value per reference slot of `previous`.
+/// update; `changes` must be sorted by `local` with no duplicates, and
+/// every entry must carry one new reference value per reference slot of
+/// `previous`.
 InspectorResult update_light_inspector(const RotationSchedule& sched,
                                        std::uint32_t proc,
                                        const InspectorResult& previous,

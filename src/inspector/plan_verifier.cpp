@@ -1,7 +1,6 @@
 #include "inspector/plan_verifier.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "inspector/plan_walk.hpp"
 
@@ -231,27 +230,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
                  std::to_string(n_elems) + " + " +
                  std::to_string(insp.num_buffer_slots) + " slots");
 
-  // Free list: in-range, duplicate-free. freed[slot] marks slots no
-  // reference or fold may touch; it is only materialized when something
-  // could read it (cold builds have an empty free list).
-  const bool any_freed = !insp.free_slots.empty();
-  std::vector<char> freed;
-  if (exhaustive || any_freed) freed.assign(insp.num_buffer_slots, 0);
-  for (const std::uint32_t slot : insp.free_slots) {
-    if (slot >= insp.num_buffer_slots) {
-      rep.fail("E-PLAN-SLOT-RANGE",
-               "proc " + std::to_string(proc) + ": free_slots entry " +
-                   std::to_string(slot) + " >= num_buffer_slots " +
-                   std::to_string(insp.num_buffer_slots));
-      continue;
-    }
-    if (freed[slot])
-      rep.fail("E-PLAN-SHAPE", "proc " + std::to_string(proc) +
-                                   ": slot " + std::to_string(slot) +
-                                   " appears twice on the free list");
-    freed[slot] = 1;
-  }
-
   if (exhaustive) {
     for (std::uint32_t slot = 0; slot < insp.slot_elem.size(); ++slot) {
       if (insp.slot_elem[slot] >= n_elems)
@@ -306,7 +284,7 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
   for_each_phase(insp, [&](std::uint32_t ph, const PhaseSchedule& phase) {
     const std::size_t n = phase.iter_global.size();
 
-    // --- shape of the phase rows -------------------------------------
+    // --- shape of the phase arrays -----------------------------------
     bool shape_ok = true;
     if (phase.iter_local.size() != n) {
       rep.fail("E-PLAN-SHAPE",
@@ -314,22 +292,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
                    std::to_string(phase.iter_local.size()) +
                    " entries, iter_global has " + std::to_string(n));
       shape_ok = false;
-    }
-    if (phase.indir.size() != num_refs) {
-      rep.fail("E-PLAN-SHAPE", at(proc, ph) + ": " +
-                                   std::to_string(phase.indir.size()) +
-                                   " indirection rows, kernel has " +
-                                   std::to_string(num_refs));
-      shape_ok = false;
-    }
-    for (std::size_t r = 0; shape_ok && r < phase.indir.size(); ++r) {
-      if (phase.indir[r].size() != n) {
-        rep.fail("E-PLAN-SHAPE",
-                 at(proc, ph) + " ref " + std::to_string(r) + ": row has " +
-                     std::to_string(phase.indir[r].size()) +
-                     " entries for " + std::to_string(n) + " iterations");
-        shape_ok = false;
-      }
     }
     if (phase.copy_src.size() != phase.copy_dst.size()) {
       rep.fail("E-PLAN-SHAPE",
@@ -340,10 +302,10 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
       shape_ok = false;
     }
     if (phase.indir_flat.size() != num_refs * n) {
-      rep.fail("E-PLAN-FLAT", at(proc, ph) + ": indir_flat has " +
-                                  std::to_string(phase.indir_flat.size()) +
-                                  " entries, rows hold " +
-                                  std::to_string(num_refs * n));
+      rep.fail("E-PLAN-SHAPE", at(proc, ph) + ": indir_flat has " +
+                                   std::to_string(phase.indir_flat.size()) +
+                                   " entries, num_refs x iterations is " +
+                                   std::to_string(num_refs * n));
       shape_ok = false;
     }
     if (!shape_ok) return;  // per-entry checks would index out of range
@@ -378,7 +340,7 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
       }
     }
 
-    // --- per-reference ownership + flattening ------------------------
+    // --- per-reference ownership --------------------------------------
     // Direct: the element's portion must be owned by this proc in this
     // phase — this is the whole rotation contract, including the
     // k-phase in-flight window for k > 1. Since exactly one portion is
@@ -390,15 +352,8 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
     const std::uint32_t slot_cap = insp.num_buffer_slots;
     report.checked_refs += static_cast<std::uint64_t>(num_refs) * n;
     for (std::size_t r = 0; r < num_refs; ++r) {
-      const std::uint32_t* row = phase.indir[r].data();
-      const std::uint32_t* flat = phase.indir_flat.data() + r * n;
+      const std::uint32_t* row = phase.indir_row(r).data();
       if (!exhaustive) {
-        // Flattening first: zero-copy loaded plans rebuild the rows as
-        // subspans of indir_flat, so pointer equality proves agreement
-        // without reading a byte; distinct storage gets one memcmp
-        // instead of a compare fused into the sweep below.
-        suspect |= row != flat && n > 0 &&
-                   std::memcmp(flat, row, n * sizeof(std::uint32_t)) != 0;
         // One branchless sweep per row, touching each entry once.
         const RowSweep sw =
             budget_row_sweep(row, n, owned_lo, owned_size, n_elems);
@@ -407,32 +362,9 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
         suspect |= sw.nin + ndefer != n;
         suspect |= static_cast<std::uint64_t>(sw.vmax) >=
                    static_cast<std::uint64_t>(n_elems) + slot_cap;
-        if (ndefer && any_freed) {
-          std::uint32_t nfreed = 0;
-          for (std::size_t j = 0; j < n; ++j) {
-            const std::uint32_t v = row[j];
-            const std::uint32_t slot = v - n_elems;  // wraps when direct
-            nfreed += (v >= n_elems) &
-                      static_cast<std::uint32_t>(
-                          freed[slot < slot_cap ? slot : 0]);
-          }
-          suspect |= nfreed != 0;
-        }
         continue;
       }
-      // Exhaustive: localize flattening mismatches (aliased rows agree
-      // by construction; memcmp fast path otherwise), then prove
-      // ownership per entry.
-      if (row != flat && n > 0 &&
-          std::memcmp(flat, row, n * sizeof(std::uint32_t)) != 0) {
-        for (std::size_t j = 0; j < n; ++j)
-          if (flat[j] != row[j])
-            rep.fail("E-PLAN-FLAT",
-                     at(proc, ph) + " ref " + std::to_string(r) + " iter " +
-                         std::to_string(j) + ": indir_flat " +
-                         std::to_string(flat[j]) + " != indir " +
-                         std::to_string(row[j]));
-      }
+      // Exhaustive: prove ownership per entry.
       for (std::size_t j = 0; j < n; ++j) {
         const std::uint32_t v = row[j];
         if (v < n_elems) {
@@ -456,13 +388,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
           continue;
         }
         const auto slot = static_cast<std::uint32_t>(slot64);
-        if (freed[slot]) {
-          rep.fail("E-PLAN-SLOT-FREED",
-                   at(proc, ph) + " ref " + std::to_string(r) + " iter " +
-                       std::to_string(j) + ": slot " + std::to_string(slot) +
-                       " is on the free list");
-          continue;
-        }
         ++slot_refs[slot];
         if (slot_owner_ph[slot] <= ph)
           rep.fail("E-PLAN-EARLY-REF",
@@ -515,12 +440,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
         continue;
       }
       const std::uint32_t slot = src - n_elems;
-      if (freed[slot]) {
-        rep.fail("E-PLAN-SLOT-FREED",
-                 at(proc, ph) + " fold " + std::to_string(j) + ": slot " +
-                     std::to_string(slot) + " is on the free list");
-        continue;
-      }
       if (++slot_folds[slot] == 2)  // report each multiply-folded slot once
         rep.fail("E-PLAN-DUP-FOLD",
                  "proc " + std::to_string(proc) + ": slot " +
@@ -550,7 +469,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
     for (std::uint32_t slot = 0;
          slot < insp.slot_elem.size() && slot < insp.num_buffer_slots;
          ++slot) {
-      if (any_freed && freed[slot]) continue;
       const std::uint32_t raw = insp.slot_elem[slot];
       const std::uint32_t elem = raw < n_elems ? raw : 0;  // OOB: suspect set
       ++cnt;
@@ -570,7 +488,6 @@ void verify_proc(const RotationSchedule& sched, const InspectorResult& insp,
   // Every slot the schedule writes through must fold back; DUP was
   // reported inline, absence is only visible after the full walk.
   for (std::uint32_t slot = 0; slot < insp.num_buffer_slots; ++slot) {
-    if (freed[slot]) continue;
     if (slot_refs[slot] > 0 && slot_folds[slot] == 0)
       rep.fail("E-PLAN-NO-FOLD",
                "proc " + std::to_string(proc) + ": slot " +

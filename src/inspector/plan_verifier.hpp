@@ -19,14 +19,15 @@
 //      is owned only in a strictly later phase;
 //   4. every live buffer slot is folded back exactly once, in the owning
 //      phase of its element, onto that element;
-//   5. the flattened executor layout (indir_flat), the phase-assignment
-//      bookkeeping, and all slot metadata agree with the phase rows.
+//   5. the phase-assignment bookkeeping and all slot metadata agree with
+//      the phase's indirection block.
 //
 // Diagnostics reuse earthred::Diagnostic with plan coordinates in the
 // message (there is no source line; line/column stay 0). Codes:
-//   E-PLAN-SHAPE         container shapes disagree (ragged rows, wrong
-//                        phase count, slot tables of the wrong length)
-//   E-PLAN-FLAT          indir_flat disagrees with the indir rows
+//   E-PLAN-SHAPE         container shapes disagree (an indirection block
+//                        that is not num_refs rows of one entry per
+//                        iteration, wrong phase count, slot tables of the
+//                        wrong length)
 //   E-PLAN-PHASE-ASSIGN  assigned_phase bookkeeping contradicts the rows
 //   E-PLAN-DUP-ITER      an iteration scheduled more than once
 //   E-PLAN-LOST-ITER     an iteration scheduled nowhere
@@ -34,7 +35,6 @@
 //   E-PLAN-EARLY-REF     redirected reference to an element already owned
 //                        (should have been direct)
 //   E-PLAN-SLOT-RANGE    buffer-slot index past num_buffer_slots
-//   E-PLAN-SLOT-FREED    reference or fold through a slot on the free list
 //   E-PLAN-NO-FOLD       live slot never folded back
 //   E-PLAN-DUP-FOLD      slot folded back more than once
 //   E-PLAN-FOLD-PHASE    fold scheduled outside the element's owning phase
@@ -61,7 +61,11 @@ namespace earthred::inspector {
 /// whenever an invariant is added, removed, or reinterpreted — old files
 /// then fail the header check (E-STORE-VERIFIER) and fall back to a
 /// rebuild instead of being trusted under rules they were never proven
-/// against.
+/// against. Revision 1 outlived the retirement of two checks — per-
+/// reference rows agreeing with the indirection block, and no reference
+/// through a free-listed slot — because neither could fire on a loadable
+/// file: files store only the block, and the loader rejects a non-empty
+/// free list.
 inline constexpr std::uint64_t kPlanVerifierFingerprint =
     0x45504c414e560001ull;  // "EPLANV" + revision 1
 
@@ -73,7 +77,7 @@ struct PlanVerifyOptions {
   /// true (the default, and what admission / `earthred check` / the test
   /// corpus use): every invariant is proven per entry. false is the
   /// build-path budget mode that PlanOptions::verify runs under: the same
-  /// shape, flattening, ownership, slot-range, free-list and fold
+  /// shape, ownership, slot-range and fold
   /// invariants, but the hot sections run as branchless, vectorizable
   /// detection sweeps — iteration coverage and fold pairing are
   /// established through power sums compared against closed forms, and

@@ -24,13 +24,11 @@ PlanWalkStats walk_inspector(const InspectorResult& insp,
   PlanWalkStats stats;
   for_each_phase(insp, [&](std::uint32_t, const PhaseSchedule& phase) {
     stats.iterations += phase.iter_global.size();
-    for (const U32Buf& row : phase.indir) {
-      for (const std::uint32_t v : row) {
-        if (v < num_elements)
-          ++stats.direct_refs;
-        else
-          ++stats.deferred_refs;
-      }
+    for (const std::uint32_t v : phase.indir_flat) {
+      if (v < num_elements)
+        ++stats.direct_refs;
+      else
+        ++stats.deferred_refs;
     }
     stats.fold_entries += phase.copy_dst.size();
   });
@@ -39,16 +37,13 @@ PlanWalkStats walk_inspector(const InspectorResult& insp,
 }
 
 std::uint64_t inspector_byte_size(const InspectorResult& insp) {
-  std::uint64_t bytes = vec_bytes(insp.assigned_phase) +
-                        vec_bytes(insp.slot_elem) +
-                        vec_bytes(insp.free_slots);
+  std::uint64_t bytes =
+      vec_bytes(insp.assigned_phase) + vec_bytes(insp.slot_elem);
   bytes += insp.phases.capacity() * sizeof(PhaseSchedule);
   for_each_phase(insp, [&](std::uint32_t, const PhaseSchedule& ph) {
     bytes += vec_bytes(ph.iter_global) + vec_bytes(ph.iter_local) +
              vec_bytes(ph.indir_flat) + vec_bytes(ph.copy_dst) +
              vec_bytes(ph.copy_src);
-    bytes += ph.indir.capacity() * sizeof(U32Buf);
-    for (const auto& row : ph.indir) bytes += vec_bytes(row);
   });
   return bytes;
 }

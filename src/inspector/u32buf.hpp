@@ -55,7 +55,6 @@ class U32Buf {
   bool empty() const noexcept { return size() == 0; }
   const std::uint32_t& operator[](std::size_t i) const { return data()[i]; }
   const std::uint32_t& front() const { return data()[0]; }
-  const std::uint32_t& back() const { return data()[size() - 1]; }
   const std::uint32_t* begin() const noexcept { return data(); }
   const std::uint32_t* end() const noexcept { return data() + size(); }
   operator std::span<const std::uint32_t>() const noexcept {
@@ -64,7 +63,9 @@ class U32Buf {
 
   /// Heap bytes this buffer is responsible for. Adopted views report their
   /// viewed extent (the pages a resident plan pins in the page cache), so
-  /// the PlanCache LRU budget sees loaded and built plans alike.
+  /// the PlanCache LRU budget sees loaded and built plans alike. The
+  /// arrays of a loaded plan view disjoint ranges of its file, so their
+  /// footprints sum to at most the file size.
   std::uint64_t footprint_bytes() const noexcept {
     return (ext_ ? ext_size_ : vec_.capacity()) * sizeof(std::uint32_t);
   }
@@ -85,10 +86,6 @@ class U32Buf {
     detach();
     return vec_.front();
   }
-  std::uint32_t& back() {
-    detach();
-    return vec_.back();
-  }
   void push_back(std::uint32_t v) {
     detach();
     vec_.push_back(v);
@@ -100,10 +97,6 @@ class U32Buf {
   void resize(std::size_t n) {
     detach();
     vec_.resize(n);
-  }
-  void reserve(std::size_t n) {
-    detach();
-    vec_.reserve(n);
   }
   void assign(std::size_t n, std::uint32_t v) {
     ext_ = nullptr;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -363,27 +364,45 @@ RefPos find_ref(const core::ExecutionPlan& plan, bool want_direct) {
   for (std::uint32_t p = 0; p < plan.insp.size(); ++p)
     for (std::uint32_t ph = 0; ph < plan.insp[p].phases.size(); ++ph) {
       const auto& phase = plan.insp[p].phases[ph];
-      for (std::size_t r = 0; r < phase.indir.size(); ++r)
-        for (std::size_t j = 0; j < phase.indir[r].size(); ++j)
-          if ((phase.indir[r][j] < n) == want_direct)
-            return {p, ph, r, j, true};
+      for (std::size_t r = 0; r < plan.shape.num_refs; ++r) {
+        const std::span<const std::uint32_t> row = phase.indir_row(r);
+        for (std::size_t j = 0; j < row.size(); ++j)
+          if ((row[j] < n) == want_direct) return {p, ph, r, j, true};
+      }
     }
   return {};
+}
+
+/// The block entry `pos` names, writable.
+std::uint32_t& ref_at(MutablePlan& mp, const RefPos& pos) {
+  auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
+  return phase.indir_flat[pos.r * phase.iter_global.size() + pos.j];
+}
+
+/// Rebuilds a phase's block after a test changed its iteration count
+/// from `old_n` (dropping the last iteration or duplicating the first):
+/// surviving columns keep their values, a new column copies column 0.
+void reshape_block(inspector::PhaseSchedule& phase, std::size_t num_refs,
+                   std::size_t old_n) {
+  const std::size_t n = phase.iter_global.size();
+  const inspector::U32Buf& old = phase.indir_flat;
+  std::vector<std::uint32_t> block(num_refs * n);
+  for (std::size_t r = 0; r < num_refs; ++r)
+    for (std::size_t j = 0; j < n; ++j)
+      block[r * n + j] = old[r * old_n + (j < old_n ? j : 0)];
+  phase.indir_flat = inspector::U32Buf(std::move(block));
 }
 
 TEST(PlanMutation, WrongPhaseOwnerIsCaught) {
   MutablePlan mp = make_plan();
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/true);
   ASSERT_TRUE(pos.found);
-  auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
   // Move the direct reference to an element of a *different* portion —
   // not owned by this processor in this phase.
-  const std::uint32_t elem = phase.indir[pos.r][pos.j];
-  const std::uint32_t portion = mp.plan.sched.portion_of(elem);
-  const std::uint32_t other =
+  std::uint32_t& entry = ref_at(mp, pos);
+  const std::uint32_t portion = mp.plan.sched.portion_of(entry);
+  entry =
       mp.plan.sched.portion_begin((portion + 1) % mp.plan.sched.num_portions());
-  phase.indir[pos.r][pos.j] = other;
-  phase.flatten_indir();  // keep indir_flat consistent: isolate the owner check
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-PHASE-OWNER")) << report.render();
@@ -393,27 +412,11 @@ TEST(PlanMutation, DanglingRemoteSlotIsCaught) {
   MutablePlan mp = make_plan();
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/false);
   ASSERT_TRUE(pos.found);
-  auto& insp = mp.plan.insp[pos.p];
-  auto& phase = insp.phases[pos.ph];
-  phase.indir[pos.r][pos.j] =
-      mp.plan.sched.num_elements() + insp.num_buffer_slots + 7;
-  phase.flatten_indir();
+  ref_at(mp, pos) = mp.plan.sched.num_elements() +
+                   mp.plan.insp[pos.p].num_buffer_slots + 7;
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-SLOT-RANGE")) << report.render();
-}
-
-TEST(PlanMutation, FreedSlotStillReferencedIsCaught) {
-  MutablePlan mp = make_plan();
-  const RefPos pos = find_ref(mp.plan, /*want_direct=*/false);
-  ASSERT_TRUE(pos.found);
-  auto& insp = mp.plan.insp[pos.p];
-  const std::uint32_t slot =
-      insp.phases[pos.ph].indir[pos.r][pos.j] - mp.plan.sched.num_elements();
-  insp.free_slots.push_back(slot);
-  const inspector::PlanVerifyReport report = mp.verify();
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_code(report, "E-PLAN-SLOT-FREED")) << report.render();
 }
 
 TEST(PlanMutation, DroppedIterationIsCaught) {
@@ -422,10 +425,10 @@ TEST(PlanMutation, DroppedIterationIsCaught) {
   ASSERT_TRUE(pos.found);
   auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
   ASSERT_FALSE(phase.iter_global.empty());
+  const std::size_t n = phase.iter_global.size();
   phase.iter_global.pop_back();
   phase.iter_local.pop_back();
-  for (auto& row : phase.indir) row.pop_back();
-  phase.flatten_indir();
+  reshape_block(phase, mp.plan.shape.num_refs, n);
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-LOST-ITER")) << report.render();
@@ -436,10 +439,10 @@ TEST(PlanMutation, DuplicatedIterationIsCaught) {
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/true);
   ASSERT_TRUE(pos.found);
   auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
+  const std::size_t n = phase.iter_global.size();
   phase.iter_global.push_back(phase.iter_global.front());
   phase.iter_local.push_back(phase.iter_local.front());
-  for (auto& row : phase.indir) row.push_back(row.front());
-  phase.flatten_indir();
+  reshape_block(phase, mp.plan.shape.num_refs, n);
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E-PLAN-DUP-ITER")) << report.render();
@@ -449,12 +452,19 @@ TEST(PlanMutation, CorruptFlattenedIndirectionIsCaught) {
   MutablePlan mp = make_plan();
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/true);
   ASSERT_TRUE(pos.found);
-  auto& phase = mp.plan.insp[pos.p].phases[pos.ph];
-  ASSERT_FALSE(phase.indir_flat.empty());
-  phase.indir_flat[0] ^= 1u;  // rows untouched: only the SoA copy is stale
-  const inspector::PlanVerifyReport report = mp.verify();
+  // Point the direct reference at another element of the same owned
+  // portion: every rotation invariant still holds, so only the kernel
+  // cross-check can tell the block no longer describes the kernel.
+  std::uint32_t& entry = ref_at(mp, pos);
+  const std::uint32_t portion = mp.plan.sched.portion_of(entry);
+  const std::uint32_t begin = mp.plan.sched.portion_begin(portion);
+  const std::uint32_t size = mp.plan.sched.portion_size(portion);
+  ASSERT_GT(size, 1u);
+  entry = begin + (entry - begin + 1) % size;
+  const inspector::PlanVerifyReport report =
+      core::verify_execution_plan(mp.plan, mp.kernel.get());
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_code(report, "E-PLAN-FLAT")) << report.render();
+  EXPECT_TRUE(has_code(report, "E-PLAN-REF-MISMATCH")) << report.render();
 }
 
 TEST(PlanMutation, DroppedFoldBackIsCaught) {
@@ -524,8 +534,7 @@ TEST(PlanMutation, EarlyOwnedBufferedElementIsCaught) {
   const RefPos pos = find_ref(mp.plan, /*want_direct=*/false);
   ASSERT_TRUE(pos.found);
   auto& insp = mp.plan.insp[pos.p];
-  const std::uint32_t slot =
-      insp.phases[pos.ph].indir[pos.r][pos.j] - mp.plan.sched.num_elements();
+  const std::uint32_t slot = ref_at(mp, pos) - mp.plan.sched.num_elements();
   // Rebind the slot to an element owned in phase <= pos.ph: the portion
   // this proc owns during the deferring phase itself qualifies.
   const std::uint32_t early_portion =
@@ -563,13 +572,9 @@ TEST(PlanMutation, ViolationCountingContinuesPastTheRecordingCap) {
   // than the default diagnostic cap.
   auto& insp = mp.plan.insp[0];
   const std::uint32_t n = mp.plan.sched.num_elements();
-  for (auto& phase : insp.phases) {
-    for (auto& row : phase.indir)
-      for (std::size_t j = 0; j < row.size(); ++j)
-        if (row[j] < n)
-          row[j] = (row[j] + mp.plan.sched.portion_size(0)) % n;
-    phase.flatten_indir();
-  }
+  for (auto& phase : insp.phases)
+    for (std::uint32_t& v : phase.indir_flat.mutate())
+      if (v < n) v = (v + mp.plan.sched.portion_size(0)) % n;
   const inspector::PlanVerifyReport report = mp.verify();
   EXPECT_FALSE(report.ok());
   EXPECT_LE(report.diagnostics.size(), 16u);

@@ -41,8 +41,8 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
   for (std::uint32_t ph = 0; ph < result.phases.size(); ++ph) {
     const PhaseSchedule& phase = result.phases[ph];
     ASSERT_EQ(phase.iter_global.size(), phase.iter_local.size());
-    for (const auto& row : phase.indir)
-      ASSERT_EQ(row.size(), phase.iter_global.size());
+    ASSERT_EQ(phase.indir_flat.size(),
+              iters.num_refs() * phase.iter_global.size());
     for (std::size_t j = 0; j < phase.iter_global.size(); ++j) {
       ++seen[phase.iter_global[j]];
       const std::uint32_t local = phase.iter_local[j];
@@ -60,7 +60,7 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
       // redirect to an in-range buffer slot whose element matches.
       for (std::size_t r = 0; r < iters.num_refs(); ++r) {
         const std::uint32_t elem = iters.refs[r][local];
-        const std::uint32_t redirected = phase.indir[r][j];
+        const std::uint32_t redirected = phase.indir_row(r)[j];
         if (redirected < n) {
           EXPECT_EQ(redirected, elem);
           EXPECT_EQ(sched.owned_portion(proc, ph), sched.portion_of(elem));
@@ -77,10 +77,8 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
   for (std::uint32_t i = 0; i < iters.num_iterations(); ++i)
     EXPECT_EQ(seen[iters.global_iter[i]], 1) << "iteration " << i;
 
-  // Second-loop entries: every *active* slot is folded exactly once, in
-  // the phase during which its destination element is owned.
-  std::set<std::uint32_t> freed(result.free_slots.begin(),
-                                result.free_slots.end());
+  // Second-loop entries: every slot is folded exactly once, in the phase
+  // during which its destination element is owned.
   std::map<std::uint32_t, int> folds;  // slot -> count
   for (std::uint32_t ph = 0; ph < result.phases.size(); ++ph) {
     const PhaseSchedule& phase = result.phases[ph];
@@ -93,22 +91,18 @@ void check_invariants(const RotationSchedule& sched, std::uint32_t proc,
       ASSERT_LT(slot, result.num_buffer_slots);
       EXPECT_EQ(result.slot_elem[slot], dst);
       EXPECT_EQ(sched.owning_phase(proc, sched.portion_of(dst)), ph);
-      EXPECT_FALSE(freed.count(slot)) << "fold of freed slot";
       ++folds[slot];
     }
   }
   for (const auto& [slot, count] : folds) EXPECT_EQ(count, 1);
 
-  // Every slot referenced from indir has a fold (or is freed).
+  // Every slot referenced from the blocks has a fold.
   std::set<std::uint32_t> referenced;
   for (const PhaseSchedule& phase : result.phases)
-    for (const auto& row : phase.indir)
-      for (std::uint32_t v : row)
-        if (v >= n) referenced.insert(v - n);
-  for (std::uint32_t slot : referenced) {
-    EXPECT_FALSE(freed.count(slot));
+    for (std::uint32_t v : phase.indir_flat)
+      if (v >= n) referenced.insert(v - n);
+  for (std::uint32_t slot : referenced)
     EXPECT_TRUE(folds.count(slot)) << "referenced slot never folded";
-  }
   EXPECT_EQ(result.local_array_size,
             static_cast<std::uint64_t>(n) + result.num_buffer_slots);
 }
@@ -147,8 +141,8 @@ TEST(LightInspector, WorkedExampleEightNodesTwoProcs) {
                               7u);
     ASSERT_NE(it, ph2.iter_global.end());
     const auto j = static_cast<std::size_t>(it - ph2.iter_global.begin());
-    EXPECT_EQ(ph2.indir[1][j], 4u);   // owned endpoint stays direct
-    EXPECT_GE(ph2.indir[0][j], 8u);   // deferred endpoint -> buffer
+    EXPECT_EQ(ph2.indir_row(1)[j], 4u);  // owned endpoint stays direct
+    EXPECT_GE(ph2.indir_row(0)[j], 8u);  // deferred endpoint -> buffer
   }
   // The buffer extends the array: first slot is location 8 (paper: "the
   // remote buffer starts at location 8").
@@ -269,8 +263,8 @@ std::vector<double> execute_schedule(const RotationSchedule& sched,
   for (const PhaseSchedule& phase : res.phases) {
     for (std::size_t j = 0; j < phase.iter_global.size(); ++j) {
       const std::uint32_t local = phase.iter_local[j];
-      for (std::size_t r = 0; r < res.phases[0].indir.size(); ++r)
-        x[phase.indir[r][j]] += edge_val[local] * (r + 1);
+      for (std::size_t r = 0; r < iters.num_refs(); ++r)
+        x[phase.indir_row(r)[j]] += edge_val[local] * (r + 1);
     }
     for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
       x[phase.copy_dst[j]] += x[phase.copy_src[j]];
@@ -278,7 +272,6 @@ std::vector<double> execute_schedule(const RotationSchedule& sched,
     }
   }
   x.resize(sched.num_elements());
-  (void)iters;
   return x;
 }
 

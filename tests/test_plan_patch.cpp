@@ -139,9 +139,9 @@ TEST(PlanPatch, EmptyChangeSetReproducesTheBasePlan) {
 }
 
 TEST(PlanPatch, RepeatedPatchingStaysCanonical) {
-  // Patch output must be a valid *base* for the next patch (free_slots
-  // drained, slot ids canonical) — the adaptive loop re-plans every
-  // rebuild interval, not once.
+  // Patch output must be a valid *base* for the next patch (slot ids
+  // canonical) — the adaptive loop re-plans every rebuild interval, not
+  // once.
   const std::string name = "moldyn";
   mesh::Mesh m = mesh_for(name);
   auto kernel = kernel_for(name, m);
@@ -161,8 +161,6 @@ TEST(PlanPatch, RepeatedPatchingStaysCanonical) {
     core::ExecutionPlan patched =
         core::patch_execution_plan(*next_kernel, plan, changed);
     ASSERT_TRUE(core::plans_bit_identical(patched, rebuilt)) << step;
-    for (const auto& insp : patched.insp)
-      EXPECT_TRUE(insp.free_slots.empty()) << step;
     plan = std::move(patched);
     kernel = std::move(next_kernel);
   }
@@ -216,7 +214,6 @@ TEST(PlanPatch, SparseUpdateMatchesFullTableOverload) {
 
     EXPECT_EQ(updated.num_buffer_slots, fresh.num_buffer_slots) << p;
     EXPECT_TRUE(updated.slot_elem == fresh.slot_elem) << p;
-    EXPECT_TRUE(updated.free_slots.empty()) << p;
     ASSERT_EQ(updated.phases.size(), fresh.phases.size()) << p;
     for (std::size_t ph = 0; ph < fresh.phases.size(); ++ph) {
       EXPECT_TRUE(updated.phases[ph].iter_global ==

@@ -85,9 +85,6 @@ TEST(PlanStore, RoundTripIsZeroCopyAndBitIdentical) {
   ASSERT_TRUE(r.ok()) << r.error_code << ": " << r.detail;
   EXPECT_TRUE(r.zero_copy);
   EXPECT_TRUE(core::plans_bit_identical(*r.plan, plan));
-  // Loaded plans must be patchable bases: canonical free list.
-  for (const auto& insp : r.plan->insp)
-    EXPECT_TRUE(insp.free_slots.empty());
 
   // The header alone round-trips the plan's identity.
   std::string code, detail;
@@ -326,6 +323,30 @@ TEST(PlanStore, CorruptionClassesAreCodedRejections) {
 // The committed corpus: every file under examples/plans/bad/ must be
 // rejected with exactly the code its name declares (<code>-*.plan ->
 // E-STORE-<CODE>), proving the corpus stays in sync with the decoder.
+TEST(PlanStore, LoadedPlanByteSizeCountsEachArrayOnce) {
+  // A loaded plan's arrays view disjoint ranges of its file, so the
+  // PlanCache budget may charge at most the file plus the in-memory
+  // container headers — never an array twice.
+  const auto kernel = make_kernel();
+  const core::PlanOptions opt = plan_opts();
+  const core::ExecutionPlan plan = core::build_execution_plan(kernel, opt);
+  ScratchStore scratch;
+  const PlanStore store(scratch.dir);
+  const PlanKey key = make_plan_key(kernel, opt);
+  std::string error;
+  ASSERT_TRUE(store.save(key, plan, &error)) << error;
+  const core::PlanLoadResult r = store.load(key);
+  ASSERT_TRUE(r.ok()) << r.error_code << ": " << r.detail;
+
+  std::uint64_t headers =
+      sizeof(core::ExecutionPlan) +
+      r.plan->insp.capacity() * sizeof(inspector::InspectorResult);
+  for (const inspector::InspectorResult& insp : r.plan->insp)
+    headers += insp.phases.capacity() * sizeof(inspector::PhaseSchedule);
+  EXPECT_LE(r.plan->byte_size(),
+            fs::file_size(store.path_for(key)) + headers);
+}
+
 TEST(PlanStore, CommittedCorruptionCorpusIsRejected) {
   const fs::path dir =
       fs::path(EARTHRED_SOURCE_DIR) / "examples" / "plans" / "bad";
@@ -345,6 +366,17 @@ TEST(PlanStore, CommittedCorruptionCorpusIsRejected) {
     EXPECT_EQ(r.plan, nullptr) << entry.path();
   }
   EXPECT_GE(seen, 5u) << "corpus went missing from " << dir;
+}
+
+TEST(PlanStore, CommittedFreeListCaseIsRejectedForItsFreeList) {
+  // The free list is a reserved array every finished plan writes empty;
+  // the corpus file holds one entry and nothing else wrong, so the parse
+  // must name the free list rather than fail for a side effect.
+  const fs::path path = fs::path(EARTHRED_SOURCE_DIR) / "examples" /
+                        "plans" / "bad" / "parse-free-slots-nonempty.plan";
+  const core::PlanLoadResult r = core::load_plan_file(path.string());
+  EXPECT_EQ(r.error_code, "E-STORE-PARSE") << r.detail;
+  EXPECT_NE(r.detail.find("1 free slots"), std::string::npos) << r.detail;
 }
 
 // The corpus's identity-mismatch case needs the store's key check: the

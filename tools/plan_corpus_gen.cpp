@@ -16,8 +16,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "kernels/fig1.hpp"
 #include "mesh/generators.hpp"
 #include "service/plan_cache.hpp"
+#include "support/binio.hpp"
 
 namespace fs = std::filesystem;
 using namespace earthred;
@@ -41,6 +44,41 @@ void write_file(const fs::path& path, const std::vector<std::byte>& bytes) {
     std::exit(1);
   }
   std::printf("wrote %s (%zu bytes)\n", path.string().c_str(), bytes.size());
+}
+
+/// `good` with processor 0's reserved free-list array (the last array of
+/// its record) holding one entry, payload size and checksum rewritten so
+/// that only the structural parse can object.
+std::vector<std::byte> with_free_slot(const std::vector<std::byte>& good) {
+  const std::span<const std::byte> payload(
+      good.data() + core::kPlanHeaderBytes,
+      good.size() - core::kPlanHeaderBytes);
+  support::ByteReader r(payload);
+  r.f64();  // build_seconds
+  r.u32_array();  // reserved
+  r.u32_array();  // reserved
+  r.u32();  // num_buffer_slots
+  r.u32();  // pad
+  r.u64();  // local_array_size
+  const std::uint64_t arrays = r.u64() * 5;  // five arrays per phase
+  for (std::uint64_t a = 0; a < arrays; ++a) r.u32_array();
+  r.u32_array();  // assigned_phase
+  r.u32_array();  // slot_elem
+  const std::size_t at = good.size() - r.remaining();  // empty free list
+
+  support::ByteWriter one;
+  one.u32_array(std::vector<std::uint32_t>{0});
+  std::vector<std::byte> b(good.begin(),
+                           good.begin() + static_cast<std::ptrdiff_t>(at));
+  b.insert(b.end(), one.bytes().begin(), one.bytes().end());
+  b.insert(b.end(), good.begin() + static_cast<std::ptrdiff_t>(at + 8),
+           good.end());  // skips the empty array's count
+  const std::uint64_t payload_bytes = b.size() - core::kPlanHeaderBytes;
+  const std::uint64_t checksum = support::fast_hash64(
+      b.data() + core::kPlanHeaderBytes, payload_bytes);
+  std::memcpy(b.data() + 80, &payload_bytes, sizeof payload_bytes);
+  std::memcpy(b.data() + 88, &checksum, sizeof checksum);
+  return b;
 }
 
 }  // namespace
@@ -113,6 +151,7 @@ int main(int argc, char** argv) {
     b[96] = std::byte{0x01};  // u32 reserved: the retired layout kind
     write_file(dir / "parse-layout-retired.plan", b);
   }
+  write_file(dir / "parse-free-slots-nonempty.plan", with_free_slot(good));
   {
     auto b = good;
     b[core::kPlanHeaderBytes + b.size() / 3] ^= std::byte{0x10};
