@@ -20,8 +20,11 @@
 // off the mapping, and the patched plan must be bit-identical to a fresh
 // build of the mutated kernel AND pass the exhaustive plan verifier.
 // Timing is gated in full mode only (--small drops the throughput gates
-// for noisy CI runners): warm load >= 10x faster than cold build, and
-// incremental patch >= 2x faster than the rebuild.
+// for noisy CI runners): the warm load itself — the median load time per
+// MB of plan file — within an absolute budget on every configuration with
+// P <= hardware_threads, and incremental patch >= 2x faster than the
+// rebuild. (The warm/cold ratio is still printed; it is not gated,
+// because a faster cold build would fail it with no change to the load.)
 //
 // Flags: --small, --reps=R, --mutate=N (default 16),
 //        --store=<dir> (default: a scratch dir under /tmp, removed on
@@ -60,16 +63,27 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// Best-of-reps wall time of `fn` (minimum filters scheduler noise).
+/// Every sample is also appended to `samples` when given.
 template <typename Fn>
-double time_best(std::uint32_t reps, const Fn& fn) {
+double time_best(std::uint32_t reps, const Fn& fn,
+                 std::vector<double>* samples = nullptr) {
   double best = 1e300;
   for (std::uint32_t r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     fn();
-    best = std::min(best, seconds_since(t0));
+    const double s = seconds_since(t0);
+    best = std::min(best, s);
+    if (samples) samples->push_back(s);
   }
   return best;
 }
+
+/// Warm-load budget: median PlanStore::load milliseconds per MB of plan
+/// file. Set from full-mode runs on a 4-vCPU AVX-512 host, where the worst
+/// gated configuration measured 0.21-0.27 ms/MB over four runs (see
+/// CHANGES.md); the budget leaves 3x for slower hosts and page-cache
+/// misses.
+constexpr double kWarmLoadBudgetMsPerMB = 0.8;
 
 struct Workload {
   std::string name;
@@ -102,11 +116,19 @@ struct Measurement {
   std::uint32_t procs = 0, k = 0;
   double cold_s = 0.0, warm_s = 0.0, patch_s = 0.0, rebuild_s = 0.0;
   std::uint64_t file_bytes = 0;
+  /// Every warm-load sample across rounds (the gate takes their median).
+  std::vector<double> warm_samples;
   bool zero_copy = false;
   bool load_identical = false;
   bool patch_identical = false;
   bool patch_verified = false;
   double load_ratio() const { return warm_s > 0 ? cold_s / warm_s : 0.0; }
+  double warm_ms_per_mb() const {
+    std::vector<double> v = warm_samples;
+    if (v.empty() || file_bytes == 0) return 0.0;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2] * 1e3 / (static_cast<double>(file_bytes) / 1e6);
+  }
   double patch_ratio() const {
     return patch_s > 0 ? rebuild_s / patch_s : 0.0;
   }
@@ -211,7 +233,9 @@ int run(const Options& opt) {
           m.zero_copy = loaded.zero_copy && (round == 0 || m.zero_copy);
           m.load_identical = core::plans_bit_identical(*loaded.plan, cold) &&
                              (round == 0 || m.load_identical);
-          merge(m.warm_s, time_best(load_reps, [&] { (void)store.load(key); }));
+          merge(m.warm_s, time_best(
+                              load_reps, [&] { (void)store.load(key); },
+                              &m.warm_samples));
 
           const core::ExecutionPlan rebuilt =
               core::build_execution_plan(*mutated, popt);
@@ -246,11 +270,14 @@ int run(const Options& opt) {
           std::string(small ? "small" : "full") + ", " +
           std::to_string(mutate) + " edges mutated)");
   t.set_header({"kernel", "P", "k", "cold ms", "warm ms", "load x",
-                "rebuild ms", "patch ms", "patch x", "file KB", "checks"});
-  double worst_load = 1e300, worst_patch = 1e300;
+                "warm ms/MB", "rebuild ms", "patch ms", "patch x", "file KB",
+                "checks"});
+  const unsigned hw = support::hardware_threads();
+  double worst_load = 1e300, worst_patch = 1e300, worst_warm = 0.0;
   for (const Measurement& m : results) {
     worst_load = std::min(worst_load, m.load_ratio());
     worst_patch = std::min(worst_patch, m.patch_ratio());
+    if (m.procs <= hw) worst_warm = std::max(worst_warm, m.warm_ms_per_mb());
     const std::string checks =
         std::string(m.load_identical ? "" : " load!=cold") +
         (m.zero_copy ? "" : " copy") +
@@ -259,6 +286,8 @@ int run(const Options& opt) {
     t.add_row({m.kernel, std::to_string(m.procs), std::to_string(m.k),
                fmt_f(m.cold_s * 1e3, 3), fmt_f(m.warm_s * 1e3, 3),
                fmt_f(m.load_ratio(), 1) + "x",
+               fmt_f(m.warm_ms_per_mb(), 3) +
+                   (m.procs <= hw ? "" : " (P > hw, not gated)"),
                fmt_f(m.rebuild_s * 1e3, 3), fmt_f(m.patch_s * 1e3, 3),
                fmt_f(m.patch_ratio(), 1) + "x",
                fmt_group(static_cast<long long>(m.file_bytes / 1024)),
@@ -266,13 +295,16 @@ int run(const Options& opt) {
   }
   t.print(std::cout);
 
-  const bool load_gate = worst_load >= 10.0;
+  const bool load_gate = worst_warm <= kWarmLoadBudgetMsPerMB;
   const bool patch_gate = worst_patch >= 2.0;
   std::printf(
-      "worst warm-load speedup %.1fx (gate >= 10x: %s), worst patch "
-      "speedup %.1fx (gate >= 2x: %s), correctness %s\n",
-      worst_load, load_gate ? "PASS" : "FAIL", worst_patch,
-      patch_gate ? "PASS" : "FAIL", all_correct ? "PASS" : "FAIL");
+      "worst warm load %.3f ms/MB over configs with P <= %u hardware "
+      "threads (gate <= %.2f: %s), worst warm-load speedup %.1fx (not "
+      "gated), worst patch speedup %.1fx (gate >= 2x: %s), correctness "
+      "%s\n",
+      worst_warm, hw, kWarmLoadBudgetMsPerMB, load_gate ? "PASS" : "FAIL",
+      worst_load, worst_patch, patch_gate ? "PASS" : "FAIL",
+      all_correct ? "PASS" : "FAIL");
 
   if (opt.has("json")) {
     std::vector<std::string> rows;
@@ -284,6 +316,7 @@ int run(const Options& opt) {
           .field("cold_build_seconds", m.cold_s)
           .field("warm_load_seconds", m.warm_s)
           .field("load_speedup", m.load_ratio())
+          .field("warm_load_ms_per_mb", m.warm_ms_per_mb())
           .field("rebuild_seconds", m.rebuild_s)
           .field("patch_seconds", m.patch_s)
           .field("patch_speedup", m.patch_ratio())
@@ -303,6 +336,8 @@ int run(const Options& opt) {
         .field("mutated_edges", mutate)
         .raw_field("configs", json_array(rows))
         .field("worst_load_speedup", worst_load)
+        .field("worst_warm_load_ms_per_mb", worst_warm)
+        .field("warm_load_budget_ms_per_mb", kWarmLoadBudgetMsPerMB)
         .field("worst_patch_speedup", worst_patch)
         .field("all_bit_identical", all_correct);
     append_json_line(opt.get("json"), w.str());

@@ -229,8 +229,7 @@ double CompiledKernel::eval(earth::FiberContext* ctx,
                             std::uint64_t edge, std::uint64_t cost_slot,
                             std::vector<double>& stack,
                             std::vector<double>& scalars,
-                            const std::vector<std::vector<double>>*
-                                node_read) const {
+                            const std::vector<double*>* node_read) const {
   stack.clear();
   for (const Instr& in : bc.code) {
     switch (in.op) {

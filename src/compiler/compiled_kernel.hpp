@@ -84,7 +84,7 @@ class CompiledKernel final : public core::PhasedKernel {
               const Bytecode& bc, std::uint64_t edge,
               std::uint64_t cost_slot,
               std::vector<double>& stack, std::vector<double>& scalars,
-              const std::vector<std::vector<double>>* node_read) const;
+              const std::vector<double*>* node_read) const;
   Bytecode compile_expr(const Expr& e) const;
 
   std::uint32_t num_nodes_ = 0;

@@ -55,7 +55,8 @@ RunResult run_classic_engine(const PhasedKernel& kernel,
       inspector::build_classic_schedule(shape.num_nodes, P, per_proc);
 
   struct ProcState {
-    ProcArrays arrays;
+    ProcStorage arrays;
+    ProcArrays view;
     /// mailbox[src]: values received from processor src this sweep.
     std::vector<std::vector<double>> mailbox;
     std::uint32_t num_senders = 0;
@@ -70,6 +71,7 @@ RunResult run_classic_engine(const PhasedKernel& kernel,
         shape.num_node_read_arrays,
         std::vector<double>(shape.num_nodes, 0.0));
     kernel.init_node_arrays(procs[p].arrays.node_read);
+    procs[p].view = procs[p].arrays.view(sched.proc[p].local_array_size());
     procs[p].mailbox.resize(P);
   }
   // Mailboxes carry all reduction arrays interleaved per value:
@@ -154,7 +156,7 @@ RunResult run_classic_engine(const PhasedKernel& kernel,
               ctx.load(tags.indir, j * shape.num_refs + r, 4);
             }
             kernel.compute_edge(ctx, tags, cs.iter_global[j], j, redirected,
-                                ps.arrays);
+                                ps.view);
           }
 
           // Ship aggregated ghost contributions to the owners.
@@ -212,7 +214,7 @@ RunResult run_classic_engine(const PhasedKernel& kernel,
 
           // Node update for the owned block; reduction offset 0.
           kernel.update_nodes(ctx, tags, cs.owned_begin, cs.owned_end, 0,
-                              ps.arrays);
+                              ps.view);
 
           if (collect && sweep + 1 == sweeps) {
             for (std::uint32_t a = 0; a < shape.num_reduction_arrays; ++a)

@@ -10,9 +10,10 @@
 //
 // The kernel performs the *real* floating-point computation (so engines
 // can validate against the sequential reference) while charging simulated
-// cycles through the FiberContext. Engines own the storage: per-processor
-// reduction arrays (extended with the LightInspector's remote buffer) and
-// per-processor replicated copies of the node read arrays.
+// cycles through the FiberContext. Engines own the storage and hand
+// kernels views of it (ProcArrays): reduction arrays addressed in one
+// index space of elements plus the LightInspector's remote-buffer slots,
+// and the node read arrays.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +34,56 @@ struct KernelShape {
   std::uint32_t num_node_read_arrays = 0; ///< node arrays read per edge
 };
 
-/// Per-processor storage manipulated by a kernel.
+/// One reduction array in the plan's single index space: ids below
+/// `num_elements` are elements and address `elem`; ids at or above it are
+/// the LightInspector's remote-buffer slots and address
+/// `slot[id - num_elements]`. The native executor points `elem` at the
+/// job's one shared array and `slot` at the worker's private buffer; the
+/// engines that keep elements and slots in one contiguous array view it
+/// through `over`, which makes `slot == elem + num_elements`.
+struct ReductionView {
+  double* elem = nullptr;
+  double* slot = nullptr;
+  std::uint32_t num_elements = 0;
+
+  double& operator[](std::uint32_t i) const noexcept {
+    return i < num_elements ? elem[i] : slot[i - num_elements];
+  }
+
+  /// View of one contiguous array whose slots follow its first
+  /// `num_elements` entries.
+  static ReductionView over(std::vector<double>& a,
+                            std::uint32_t num_elements) noexcept {
+    return ReductionView{a.data(), a.data() + num_elements, num_elements};
+  }
+};
+
+/// Per-processor views of the storage a kernel manipulates; the engines
+/// own the arrays behind them.
 struct ProcArrays {
-  /// reduction[a][i]: element i of reduction array a. Length is
-  /// num_nodes + buffer slots (rotation engine) or owned + ghosts
-  /// (classic engine).
+  /// reduction[a][i]: element or buffer slot i of reduction array a.
+  std::vector<ReductionView> reduction;
+  /// node_read[a][v]: node-indexed arrays read per edge (written only by
+  /// update_nodes).
+  std::vector<double*> node_read;
+};
+
+/// Owning storage of the engines that keep each reduction array's
+/// elements and buffer slots in one contiguous array (the simulator, the
+/// classic and the sequential engines).
+struct ProcStorage {
   std::vector<std::vector<double>> reduction;
-  /// node_read[a][v]: replicated node-indexed read-only arrays.
   std::vector<std::vector<double>> node_read;
+
+  /// Kernel views, every reduction array split at `num_elements` (see
+  /// ReductionView::over). Valid until an array is resized.
+  ProcArrays view(std::uint32_t num_elements) {
+    ProcArrays v;
+    for (std::vector<double>& a : reduction)
+      v.reduction.push_back(ReductionView::over(a, num_elements));
+    for (std::vector<double>& a : node_read) v.node_read.push_back(a.data());
+    return v;
+  }
 };
 
 /// Synthetic-address tags for the cost model (see earth/cost.hpp).
@@ -77,7 +120,7 @@ struct PhaseView {
 ///
 /// Thread-compatibility: kernels are immutable after construction and
 /// shared by all simulated processors; all mutable state lives in the
-/// engine-owned ProcArrays.
+/// engine-owned storage behind ProcArrays.
 class PhasedKernel {
  public:
   virtual ~PhasedKernel() = default;

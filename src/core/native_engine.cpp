@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -27,20 +27,20 @@
 #define EARTHRED_HAS_CPU_AFFINITY 0
 #endif
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#define EARTHRED_HAS_MADVISE 1
+#else
+#define EARTHRED_HAS_MADVISE 0
+#endif
+
 namespace earthred::core {
 
 using inspector::InspectorResult;
 using inspector::RotationSchedule;
 
 namespace {
-
-/// One-slot bounded buffer: sender waits `free`, writes, posts `full`;
-/// receiver waits `full`, reads, posts `free`.
-struct StagedSlot {
-  std::vector<double> data;
-  std::binary_semaphore full{0};
-  std::binary_semaphore free{1};
-};
 
 /// Best-effort pin of the calling thread to one CPU (no-op where pthread
 /// CPU affinity is unavailable; failure is ignored — pinning is a
@@ -329,162 +329,213 @@ CostTags make_cost_tags(std::uint32_t RA, std::uint32_t NA) {
   return tags;
 }
 
-/// The paper's executor: portions of the reduction arrays rotate through
-/// the processors over k*P phases with bounded-buffer staging (see the
-/// header comment). Deterministic; bit-identical between the batched and
-/// per-edge paths.
+/// The stage recorder's clock (NativeProfile).
+using Clock = std::chrono::steady_clock;
+
+double seconds_between(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
+
+/// Under first-touch, drops the pages wholly inside [p, p + n) so the next
+/// write faults each one in on the writing worker's NUMA node; the
+/// contents read back as zero (private anonymous memory). Elsewhere a
+/// no-op: the arrays stay zeroed where the caller allocated them.
+void release_pages(double* p, std::size_t n) {
+#if EARTHRED_HAS_MADVISE
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto b =
+      (reinterpret_cast<std::uintptr_t>(p) + page - 1) / page * page;
+  const auto e = reinterpret_cast<std::uintptr_t>(p + n) / page * page;
+  if (e > b)
+    (void)madvise(reinterpret_cast<void*>(b), e - b, MADV_DONTNEED);
+#else
+  (void)p;
+  (void)n;
+#endif
+}
+
+/// The paper's executor on shared memory: portions of one reduction
+/// array X per job rotate through the workers over k*P phases by
+/// ownership (see the header comment). Deterministic; bit-identical
+/// between the batched and per-edge paths.
 NativeResult run_phased(const PhasedKernel& kernel,
                         const ExecutionPlan& plan, const SweepOptions& opt) {
+  const auto t_setup = Clock::now();
   const KernelShape shape = kernel.shape();
   const RotationSchedule& sched = plan.sched;
   const std::uint32_t P = plan.options.num_procs;
   const std::uint32_t k = plan.options.k;
   const std::uint32_t kp = P * k;
+  const std::uint32_t N = shape.num_nodes;
   const std::uint32_t RA = shape.num_reduction_arrays;
   const std::uint32_t NA = shape.num_node_read_arrays;
+  const std::uint32_t sweeps = opt.sweeps;
   const bool first_touch = opt.affinity.first_touch;
 
-  // ---- per-run mutable state (the plan itself stays untouched) ----------
-  // The StagedSlot objects (semaphores) are always created here so the
-  // staging topology exists before any worker starts; the *data* vectors
-  // are sized either here or — under first-touch — on the worker that owns
-  // them, so their pages land on that worker's NUMA node.
-  std::vector<ProcArrays> arrays(P);
-  // rotation[q][ph]: the portion arriving for q's phase ph.
-  std::vector<std::vector<std::unique_ptr<StagedSlot>>> rotation(P);
-  // bcast[q][pid]: the refreshed node-read portion pid for receiver q.
-  std::vector<std::vector<std::unique_ptr<StagedSlot>>> bcast(P);
-  for (std::uint32_t q = 0; q < P; ++q) {
-    rotation[q].resize(kp);
-    for (std::uint32_t ph = 0; ph < kp; ++ph)
-      rotation[q][ph] = std::make_unique<StagedSlot>();
-    bcast[q].resize(sched.num_portions());
-    for (std::uint32_t pid = 0; pid < sched.num_portions(); ++pid) {
-      if (sched.final_owner(pid) == q) continue;  // local, no staging
-      bcast[q][pid] = std::make_unique<StagedSlot>();
-    }
+  // ---- per-run state (the plan itself stays untouched) ------------------
+  // X: the job's one copy of every reduction array. The worker owning
+  // portion pid in a phase is the only one touching X[pid] in that phase.
+  std::vector<std::vector<double>> X(RA, std::vector<double>(N, 0.0));
+  // Node-read arrays, double-buffered by sweep parity: sweep s reads
+  // nodes[s % 2]; the final owner of each portion writes its refreshed
+  // values into nodes[(s + 1) % 2].
+  std::vector<std::vector<double>> nodes[2];
+  nodes[0].assign(NA, std::vector<double>(N, 0.0));
+  nodes[1].assign(NA, std::vector<double>(N, 0.0));
+  kernel.init_node_arrays(nodes[0]);
+  if (first_touch) {
+    for (std::vector<double>& a : X) release_pages(a.data(), a.size());
+    for (std::vector<double>& a : nodes[1])
+      release_pages(a.data(), a.size());
   }
-
-  /// Sizes processor p's arrays and *receiving* staging buffers. Run on
-  /// the main thread normally, or on worker p itself under first-touch.
-  const auto init_proc_state = [&](std::uint32_t p) {
-    arrays[p].reduction.assign(
-        RA, std::vector<double>(plan.insp[p].local_array_size, 0.0));
-    arrays[p].node_read.assign(NA,
-                               std::vector<double>(shape.num_nodes, 0.0));
-    kernel.init_node_arrays(arrays[p].node_read);
-    for (std::uint32_t ph = 0; ph < kp; ++ph) {
-      const std::uint32_t pid = sched.owned_portion(p, ph);
-      rotation[p][ph]->data.assign(
-          static_cast<std::size_t>(sched.portion_size(pid)) * RA, 0.0);
-    }
-    for (std::uint32_t pid = 0; pid < sched.num_portions(); ++pid) {
-      if (!bcast[p][pid]) continue;
-      bcast[p][pid]->data.assign(
-          static_cast<std::size_t>(sched.portion_size(pid)) *
-              std::max<std::uint32_t>(NA, 1),
-          0.0);
-    }
+  // token[q * kp + ph]: posted by q's ring sender when the portion q owns
+  // in phase ph may be touched; it carries no data.
+  struct Token {
+    std::binary_semaphore sem{0};
   };
-  if (!first_touch)
-    for (std::uint32_t p = 0; p < P; ++p) init_proc_state(p);
+  const std::unique_ptr<Token[]> token = std::make_unique<Token[]>(
+      static_cast<std::size_t>(P) * kp);
+  // ready[pid]: sweeps whose node-read refresh of pid has been published.
+  const std::unique_ptr<std::atomic<std::uint32_t>[]> ready =
+      std::make_unique<std::atomic<std::uint32_t>[]>(kp);
+  std::mutex ready_mutex;
+  std::condition_variable ready_cv;
 
   const CostTags tags = make_cost_tags(RA, NA);
 
   NativeResult result;
-  result.reduction.assign(RA, std::vector<double>(shape.num_nodes, 0.0));
-  result.node_read.assign(NA, std::vector<double>(shape.num_nodes, 0.0));
+  result.profile.workers.resize(P);
+  std::uint64_t slot_words = 0;
+  for (const InspectorResult& insp : plan.insp)
+    slot_words += static_cast<std::uint64_t>(RA) *
+                  (insp.local_array_size - N);
+  result.profile.run_state_bytes =
+      sizeof(double) * (static_cast<std::uint64_t>(RA) * N + slot_words +
+                        2ull * NA * N);
 
-  const std::uint32_t sweeps = opt.sweeps;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Stall watchdog: every semaphore wait is bounded by opt.stall_timeout
-  // (0 = unbounded). The first wait to time out records a description and
+  // Stall watchdog: every wait is bounded by opt.stall_timeout (0 =
+  // unbounded). The first wait to time out records a description and
   // raises `stalled`; every other wait polls the flag and bails, so all
   // threads unwind, join() returns, and the failure surfaces as a
   // check_error instead of a hang. `describe` is a callable producing the
-  // diagnostic: the fast path (semaphore available, or no timeout) never
-  // materializes the string, so waiting costs zero allocations.
+  // diagnostic: the fast path (token or portion ready, or no timeout)
+  // never materializes the string, so waiting costs zero allocations.
   std::atomic<bool> stalled{false};
   std::mutex stall_mutex;
   std::string stall_what;
-  const auto wait_or_stall = [&](std::binary_semaphore& sem,
-                                 auto&& describe) -> bool {
+  const auto deadline_after = [&](Clock::time_point start) {
+    return start + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(opt.stall_timeout));
+  };
+  const auto give_up = [&](auto&& describe) {
+    if (!stalled.exchange(true)) {
+      const std::lock_guard<std::mutex> lock(stall_mutex);
+      stall_what = describe();
+    }
+    return false;
+  };
+  const auto wait_token = [&](Token& t, auto&& describe) -> bool {
     if (opt.stall_timeout <= 0.0) {
-      sem.acquire();
+      t.sem.acquire();
       return true;
     }
-    if (sem.try_acquire()) return true;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(opt.stall_timeout));
-    while (!sem.try_acquire_for(std::chrono::milliseconds(10))) {
+    if (t.sem.try_acquire()) return true;
+    const auto deadline = deadline_after(Clock::now());
+    while (!t.sem.try_acquire_for(std::chrono::milliseconds(10))) {
       if (stalled.load(std::memory_order_relaxed)) return false;
-      if (std::chrono::steady_clock::now() >= deadline) {
-        if (!stalled.exchange(true)) {
-          const std::lock_guard<std::mutex> lock(stall_mutex);
-          stall_what = describe();
-        }
-        return false;
-      }
+      if (Clock::now() >= deadline) return give_up(describe);
+    }
+    return true;
+  };
+  const auto wait_ready = [&](std::uint32_t pid, std::uint32_t sweep,
+                              auto&& describe) -> bool {
+    const auto is_ready = [&] {
+      return ready[pid].load(std::memory_order_acquire) >= sweep;
+    };
+    if (is_ready()) return true;
+    const auto deadline = deadline_after(Clock::now());
+    std::unique_lock<std::mutex> lock(ready_mutex);
+    while (!is_ready()) {
+      if (stalled.load(std::memory_order_relaxed)) return false;
+      if (opt.stall_timeout > 0.0 && Clock::now() >= deadline)
+        return give_up(describe);
+      ready_cv.wait_for(lock, std::chrono::milliseconds(10));
     }
     return true;
   };
 
-  // Under first-touch, every worker sizes its own state before any worker
-  // may start touching a neighbor's staging buffers.
-  std::barrier init_barrier(static_cast<std::ptrdiff_t>(P));
+  const auto t0 = Clock::now();
+  result.profile.setup_s = seconds_between(t_setup, t0);
 
   std::vector<std::thread> threads;
   threads.reserve(P);
   for (std::uint32_t p = 0; p < P; ++p) {
     threads.emplace_back([&, p] {
+      const auto t_enter = Clock::now();
       if (opt.affinity.pin_threads) pin_current_thread(p);
-      if (first_touch) {
-        init_proc_state(p);
-        init_barrier.arrive_and_wait();
-      }
+      WorkerStages& stages = result.profile.workers[p];
       earth::FiberContext ctx = earth::FiberContext::detached(p);
       const InspectorResult& insp = plan.insp[p];
-      ProcArrays& ps = arrays[p];
+      // The worker's private remote-buffer slots (ids >= N), one row of
+      // B_p per reduction array, allocated and zeroed on this thread.
+      const std::size_t B = insp.local_array_size - N;
+      std::vector<double> slots(B * RA, 0.0);
+      // ps: the views compute and the second loop use (reads nodes[s % 2]);
+      // fin: the same reduction views with the refresh target for
+      // update_nodes (nodes[(s + 1) % 2]).
+      ProcArrays ps;
+      for (std::uint32_t a = 0; a < RA; ++a)
+        ps.reduction.push_back({X[a].data(), slots.data() + a * B, N});
+      ps.node_read.resize(NA);
+      ProcArrays fin = ps;
       std::vector<std::uint32_t> redirected(shape.num_refs);
+      if (first_touch) {
+        for (std::uint32_t ph = 0; ph < k; ++ph) {
+          const std::uint32_t pid = sched.owned_portion(p, ph);
+          for (std::uint32_t a = 0; a < RA; ++a)
+            std::fill(X[a].begin() + sched.portion_begin(pid),
+                      X[a].begin() + sched.portion_end(pid), 0.0);
+        }
+      }
+      auto t_mark = Clock::now();
+      stages.setup_s = seconds_between(t_enter, t_mark);
 
       for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
+        const std::uint32_t cur = sweep % 2;
+        for (std::uint32_t a = 0; a < NA; ++a) {
+          ps.node_read[a] = nodes[cur][a].data();
+          fin.node_read[a] = nodes[cur ^ 1][a].data();
+        }
         for (std::uint32_t ph = 0; ph < kp; ++ph) {
           const std::uint32_t pid = sched.owned_portion(p, ph);
           const std::uint32_t begin = sched.portion_begin(pid);
           const std::uint32_t end = sched.portion_end(pid);
-          const std::uint32_t psize = end - begin;
 
-          // Sweep boundary: apply the staged node-read refreshes.
+          // Sweep boundary: wait until every portion's final owner has
+          // published its refresh into nodes[cur]. This one wait covers
+          // both parity hazards: reading nodes[cur] before every portion
+          // is ready, and overwriting nodes[cur ^ 1] (this sweep's
+          // refresh target) while a slower worker still reads it as the
+          // previous sweep's nodes[cur] — every worker's last read of it
+          // precedes the refresh that worker publishes at phase kP-1.
           if (ph == 0 && sweep > 0 && NA > 0) {
-            for (std::uint32_t opid = 0; opid < sched.num_portions();
-                 ++opid) {
-              StagedSlot* slot = bcast[p][opid].get();
-              if (!slot) continue;  // finalized locally
-              if (!wait_or_stall(slot->full, [&] {
+            for (std::uint32_t opid = 0; opid < kp; ++opid) {
+              if (!wait_ready(opid, sweep, [&] {
                     return "proc " + std::to_string(p) +
-                           " stuck waiting for the node-read broadcast "
-                           "of portion " +
-                           std::to_string(opid) + " at sweep " +
+                           " stuck waiting for node-read portion " +
+                           std::to_string(opid) + " (final owner proc " +
+                           std::to_string(sched.final_owner(opid)) +
+                           ") to be ready for sweep " +
                            std::to_string(sweep);
                   }))
                 return;
-              const std::uint32_t ob = sched.portion_begin(opid);
-              const std::uint32_t osz = sched.portion_size(opid);
-              for (std::uint32_t a = 0; a < NA; ++a)
-                std::copy(slot->data.begin() + a * osz,
-                          slot->data.begin() + (a + 1) * osz,
-                          ps.node_read[a].begin() + ob);
-              slot->free.release();
             }
           }
 
-          // Portion arrival (the first k phases of sweep 0 start local).
+          // Ownership of the portion (the first k phases of sweep 0
+          // start owned).
           if (!(sweep == 0 && ph < k)) {
-            StagedSlot* slot = rotation[p][ph].get();
-            if (!wait_or_stall(slot->full, [&] {
+            if (!wait_token(token[std::size_t{p} * kp + ph], [&] {
                   return "proc " + std::to_string(p) +
                          " stuck waiting for portion " +
                          std::to_string(pid) + " to arrive for phase " +
@@ -492,12 +543,9 @@ NativeResult run_phased(const PhasedKernel& kernel,
                          std::to_string(sweep) + " (lost forward?)";
                 }))
               return;
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::copy(slot->data.begin() + a * psize,
-                        slot->data.begin() + (a + 1) * psize,
-                        ps.reduction[a].begin() + begin);
-            slot->free.release();
           }
+          const auto t_compute = Clock::now();
+          stages.wait_s += seconds_between(t_mark, t_compute);
 
           // Main loop: one batched compute_phase call streaming the
           // indirection block, or the per-edge path (a virtual call plus
@@ -520,7 +568,10 @@ NativeResult run_phased(const PhasedKernel& kernel,
                                   phase.iter_local[j], redirected, ps);
             }
           }
-          // Second loop.
+          const auto t_fold = Clock::now();
+          stages.compute_s += seconds_between(t_compute, t_fold);
+
+          // Second loop: fold this worker's buffer slots into the portion.
           for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
             for (std::uint32_t a = 0; a < RA; ++a) {
               ps.reduction[a][phase.copy_dst[j]] +=
@@ -529,69 +580,43 @@ NativeResult run_phased(const PhasedKernel& kernel,
             }
           }
 
-          // Portion complete: node update, result capture, zero, bcast.
+          // Hook: the messages this phase posts (its ownership token and,
+          // at a last owning phase, the portion's readiness) vanish.
+          const bool lost = opt.lose_forward.enabled &&
+                            opt.lose_forward.proc == p &&
+                            opt.lose_forward.phase == ph &&
+                            opt.lose_forward.sweep == sweep;
+
+          // Portion complete: refresh its node-read values into the other
+          // parity, publish them, and re-zero X[pid] for the next sweep
+          // (the last sweep leaves X as the result).
           if (sched.last_owning_phase(pid) == ph) {
-            kernel.update_nodes(ctx, tags, begin, end, begin, ps);
-            if (sweep + 1 == sweeps) {
+            for (std::uint32_t a = 0; a < NA; ++a)
+              std::copy(nodes[cur][a].begin() + begin,
+                        nodes[cur][a].begin() + end,
+                        nodes[cur ^ 1][a].begin() + begin);
+            kernel.update_nodes(ctx, tags, begin, end, begin, fin);
+            if (sweep + 1 < sweeps) {
               for (std::uint32_t a = 0; a < RA; ++a)
-                std::copy(ps.reduction[a].begin() + begin,
-                          ps.reduction[a].begin() + end,
-                          result.reduction[a].begin() + begin);
-              for (std::uint32_t a = 0; a < NA; ++a)
-                std::copy(ps.node_read[a].begin() + begin,
-                          ps.node_read[a].begin() + end,
-                          result.node_read[a].begin() + begin);
-            }
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::fill(ps.reduction[a].begin() + begin,
-                        ps.reduction[a].begin() + end, 0.0);
-            if (NA > 0 && sweep + 1 < sweeps) {
-              for (std::uint32_t q = 0; q < P; ++q) {
-                if (q == p) continue;
-                StagedSlot* slot = bcast[q][pid].get();
-                if (!wait_or_stall(slot->free, [&] {
-                      return "proc " + std::to_string(p) +
-                             " stuck broadcasting portion " +
-                             std::to_string(pid) + " to proc " +
-                             std::to_string(q) + " at sweep " +
-                             std::to_string(sweep);
-                    }))
-                  return;
-                for (std::uint32_t a = 0; a < NA; ++a)
-                  std::copy(ps.node_read[a].begin() + begin,
-                            ps.node_read[a].begin() + end,
-                            slot->data.begin() + a * psize);
-                slot->full.release();
+                std::fill(X[a].begin() + begin, X[a].begin() + end, 0.0);
+              if (NA > 0 && !lost) {
+                {
+                  const std::lock_guard<std::mutex> lock(ready_mutex);
+                  ready[pid].store(sweep + 1, std::memory_order_release);
+                }
+                ready_cv.notify_all();
               }
             }
           }
+          t_mark = Clock::now();
+          stages.fold_s += seconds_between(t_fold, t_mark);
 
-          // Forward the portion around the ring.
+          // Pass ownership around the ring.
           std::uint32_t tph = ph + k;
-          std::uint32_t tsweep = sweep + (tph >= kp ? 1 : 0);
+          const std::uint32_t tsweep = sweep + (tph >= kp ? 1 : 0);
           tph %= kp;
-          if (tsweep < sweeps) {
-            if (opt.lose_forward.enabled && opt.lose_forward.proc == p &&
-                opt.lose_forward.phase == ph &&
-                opt.lose_forward.sweep == sweep)
-              continue;  // fault hook: this forward silently vanishes
-            const std::uint32_t q = sched.next_owner(p);
-            StagedSlot* slot = rotation[q][tph].get();
-            if (!wait_or_stall(slot->free, [&] {
-                  return "proc " + std::to_string(p) +
-                         " stuck forwarding portion " +
-                         std::to_string(pid) + " to proc " +
-                         std::to_string(q) + " phase " +
-                         std::to_string(tph) + " at sweep " +
-                         std::to_string(sweep);
-                }))
-              return;
-            for (std::uint32_t a = 0; a < RA; ++a)
-              std::copy(ps.reduction[a].begin() + begin,
-                        ps.reduction[a].begin() + end,
-                        slot->data.begin() + a * psize);
-            slot->full.release();
-          }
+          if (tsweep < sweeps && !lost)
+            token[std::size_t{sched.next_owner(p)} * kp + tph].sem.release();
         }
       }
     });
@@ -604,9 +629,9 @@ NativeResult run_phased(const PhasedKernel& kernel,
                       stall_what);
   }
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.wall_seconds = seconds_between(t0, Clock::now());
+  result.reduction = std::move(X);
+  result.node_read = std::move(nodes[sweeps % 2]);
   return result;
 }
 

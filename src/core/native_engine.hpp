@@ -2,11 +2,11 @@
 //
 // The discrete-event simulator (reduction_engine.cpp) is the measurement
 // vehicle; this engine runs the *same* phased schedule as real
-// `std::thread`s — one per simulated processor — with bounded-buffer
-// message staging standing in for the EARTH network. It exists to
-// demonstrate (and test) that the execution strategy is a correct
-// parallel algorithm under genuine asynchrony, as the reproduction plan
-// prescribes ("emulate fine-grained threads with tasks").
+// `std::thread`s — one per simulated processor — on one host's shared
+// memory. It exists to demonstrate (and test) that the execution strategy
+// is a correct parallel algorithm under genuine asynchrony, as the
+// reproduction plan prescribes ("emulate fine-grained threads with
+// tasks").
 //
 // The expensive preprocessing products — iteration distribution, rotation
 // schedule, and LightInspector output — are factored into an immutable
@@ -16,13 +16,22 @@
 // number of concurrent or repeated runs (the compile-once/run-many shape
 // the service layer's PlanCache exploits; see src/service/).
 //
-// Synchronization structure (mirrors the fiber graph):
-//   * portion rotation: a staging buffer per (receiver, phase) guarded by
-//     full/free semaphores — the sender copies the portion in and posts
-//     `full`; the receiver drains it at the start of the owning phase and
-//     posts `free` (so a fast sender can run at most one sweep ahead);
-//   * node-read replication: a staging buffer per (receiver, portion)
-//     with the same protocol, drained at each sweep boundary.
+// Synchronization structure (rotation by ownership, not by copy):
+//   * one reduction array X per job. The paper's rotation gives every
+//     portion exactly one owner per phase, so the owner writes X[pid] in
+//     place and then posts the ownership token — a per-(receiver, phase)
+//     semaphore that carries no data — to next_owner(p). Each worker's
+//     remote-buffer slots (ids >= N) stay private and fold into X[pid]
+//     in the second loop. The adds are the same, in the same order, as
+//     with per-worker copies, so results are bit-identical.
+//   * one array per node-read array, double-buffered by sweep parity:
+//     sweep s reads nodes[s % 2]; a portion's final owner writes
+//     nodes[(s + 1) % 2][pid] = nodes[s % 2][pid], runs update_nodes on
+//     it and publishes the portion's readiness. Every worker waits for
+//     all portions to be ready before its first phase of the next sweep,
+//     which covers both hazards: reading a parity before it is complete,
+//     and overwriting the parity a slower worker still reads.
+//   * the last sweep moves X and the final parity into NativeResult.
 #pragma once
 
 #include <cstdint>
@@ -157,24 +166,30 @@ struct AffinityOptions {
   /// Pin worker thread p to CPU (p mod hardware_concurrency) via
   /// pthread_setaffinity_np where available.
   bool pin_threads = false;
-  /// Allocate and zero each processor's reduction/node-read arrays and
-  /// its *receiving* staging buffers on the worker thread that will use
-  /// them (first-touch page placement on NUMA hosts) instead of on the
-  /// caller's thread. Results are unaffected — only page placement moves.
+  /// First-touch page placement on NUMA hosts: each worker zeroes the
+  /// X portions it owns at sweep start on its own thread (the caller
+  /// releases those pages first), and the refreshed node-read parity is
+  /// first written by each portion's final owner. A worker's private
+  /// buffers are always allocated on the worker. Results are unaffected —
+  /// only page placement moves.
   bool first_touch = false;
 };
 
 /// Per-run execution knobs — do not affect the plan.
 struct SweepOptions {
   std::uint32_t sweeps = 1;
-  /// Wall-clock seconds any single staging-buffer wait may block before
-  /// the whole run is declared stalled and aborted with a check_error
-  /// naming the waiting processor and protocol step — a deadlocked
-  /// protocol surfaces as a diagnostic instead of a hung process. 0 waits
-  /// forever (the pre-watchdog behavior).
+  /// Wall-clock seconds any single wait (an ownership token or a
+  /// node-read portion's readiness) may block before the whole run is
+  /// declared stalled and aborted with a check_error naming the waiting
+  /// processor and protocol step — a deadlocked protocol surfaces as a
+  /// diagnostic instead of a hung process. 0 waits forever (the
+  /// pre-watchdog behavior).
   double stall_timeout = 30.0;
-  /// Test hook: silently skip one ring forward, simulating a lost
-  /// message, so the stall watchdog can be exercised deterministically.
+  /// Test hook: silently drop what `proc` posts at the end of `phase` in
+  /// `sweep` — its ring forward (the ownership token) and, when that phase
+  /// is a portion's last owning phase, the portion's node-read readiness —
+  /// simulating a lost message, so the stall watchdog can be exercised
+  /// deterministically.
   struct LostForward {
     bool enabled = false;
     std::uint32_t proc = 0;
@@ -192,19 +207,43 @@ struct SweepOptions {
   AffinityOptions affinity{};
 };
 
+/// Where one worker's time went, in the phase / portion / wait / fold
+/// vocabulary: a phase computes on its portion, waits for a portion (its
+/// ownership token, or every node-read portion at a sweep boundary), and
+/// folds (the second loop plus the node update of a completed portion).
+struct WorkerStages {
+  double setup_s = 0.0;    ///< thread start to first phase: pin, buffers
+  double compute_s = 0.0;  ///< main loops (compute_phase / compute_edge)
+  double wait_s = 0.0;     ///< ownership tokens + node-read readiness
+  double fold_s = 0.0;     ///< second loop + node-read refresh
+};
+
+/// The native executor's stage recorder.
+struct NativeProfile {
+  /// Caller-side setup before the workers start: X, both node-read
+  /// parities (with init_node_arrays) and the tokens. Not in wall_seconds.
+  double setup_s = 0.0;
+  std::vector<WorkerStages> workers;  ///< one per processor
+  /// Bytes of run state: 8 * (RA*N + RA*sum(B_p) + 2*NA*N) — X, every
+  /// worker's buffer slots and both node-read parities.
+  std::uint64_t run_state_bytes = 0;
+};
+
 struct NativeResult {
-  /// Wall-clock seconds of the threaded execution (excludes inspector).
+  /// Wall-clock seconds of the threaded execution (excludes inspector and
+  /// profile.setup_s).
   double wall_seconds = 0.0;
   /// Final reduction arrays ([array][element], global indexing).
   std::vector<std::vector<double>> reduction;
   /// Final node read arrays.
   std::vector<std::vector<double>> node_read;
+  NativeProfile profile;
 };
 
 /// Executes `sweeps` time steps of `kernel` under a prebuilt plan. The
 /// plan is read-only and may be shared by concurrent callers; `kernel`
 /// must be the kernel (or an identically-shaped twin) the plan was built
-/// from. Raises check_error when a staging-buffer wait exceeds
+/// from. Raises check_error when a token or readiness wait exceeds
 /// stall_timeout (lost message / protocol deadlock).
 NativeResult run_native_plan(const PhasedKernel& kernel,
                              const ExecutionPlan& plan,

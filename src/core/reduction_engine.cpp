@@ -21,7 +21,9 @@ namespace {
 
 /// Everything one simulated processor owns.
 struct ProcState {
-  ProcArrays arrays;
+  ProcStorage arrays;
+  /// Kernel views of `arrays` (buffer slots follow the N elements).
+  ProcArrays view;
   InspectorResult insp;
   /// Prefix sums of phase sizes: slot_base[ph] + j is the streaming slot
   /// of the j-th iteration of phase ph (cost-model addressing).
@@ -80,6 +82,7 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
         shape.num_node_read_arrays,
         std::vector<double>(shape.num_nodes, 0.0));
     kernel.init_node_arrays(procs[p].arrays.node_read);
+    procs[p].view = procs[p].arrays.view(shape.num_nodes);
 
     procs[p].slot_base.assign(kp + 1, 0);
     for (std::uint32_t ph = 0; ph < kp; ++ph)
@@ -165,7 +168,7 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
               // locality the paper reports losing to phase partitioning.
               kernel.compute_edge(ctx, tags, phase.iter_global[j],
                                   phase.iter_local[j], redirected,
-                                  ps.arrays);
+                                  ps.view);
             }
 
             // -- second loop: fold buffered contributions --------------
@@ -191,7 +194,7 @@ RunResult run_rotation_engine(const PhasedKernel& kernel,
 
             // -- portion complete: node update + replication ------------
             if (sched.last_owning_phase(pid) == ph) {
-              kernel.update_nodes(ctx, tags, begin, end, begin, ps.arrays);
+              kernel.update_nodes(ctx, tags, begin, end, begin, ps.view);
 
               if (collect && sweep + 1 == sweeps) {
                 for (std::uint32_t a = 0; a < shape.num_reduction_arrays;

@@ -32,12 +32,13 @@ RunResult run_sequential_kernel(const PhasedKernel& kernel,
   ER_EXPECTS(opt.sweeps >= 1);
   const CostTags tags = make_tags(shape);
 
-  ProcArrays arrays;
+  ProcStorage arrays;
   arrays.reduction.assign(shape.num_reduction_arrays,
                           std::vector<double>(shape.num_nodes, 0.0));
   arrays.node_read.assign(shape.num_node_read_arrays,
                           std::vector<double>(shape.num_nodes, 0.0));
   kernel.init_node_arrays(arrays.node_read);
+  ProcArrays view = arrays.view(shape.num_nodes);
 
   earth::MachineConfig mcfg = opt.machine;
   mcfg.num_nodes = 1;
@@ -55,9 +56,9 @@ RunResult run_sequential_kernel(const PhasedKernel& kernel,
             redirected[r] = kernel.ref(r, e);
             ctx.load(tags.indir, e * shape.num_refs + r, 4);
           }
-          kernel.compute_edge(ctx, tags, e, e, redirected, arrays);
+          kernel.compute_edge(ctx, tags, e, e, redirected, view);
         }
-        kernel.update_nodes(ctx, tags, 0, shape.num_nodes, 0, arrays);
+        kernel.update_nodes(ctx, tags, 0, shape.num_nodes, 0, view);
         if (ctx.activation() + 1 < sweeps) {
           // Re-zero reduction arrays for the next sweep.
           for (std::uint32_t a = 0; a < shape.num_reduction_arrays; ++a) {

@@ -117,10 +117,10 @@ void EulerKernel::compute_phase(earth::FiberContext& ctx,
       .eg = phase.iter_global.data(),
       .edges = mesh_.edges.data(),
       .coef = coef_.data(),
-      .vel = arrays.node_read[kVel].data(),
-      .pre = arrays.node_read[kPre].data(),
-      .dvel = arrays.reduction[kVel].data(),
-      .dpre = arrays.reduction[kPre].data(),
+      .vel = arrays.node_read[kVel],
+      .pre = arrays.node_read[kPre],
+      .dvel = arrays.reduction[kVel],
+      .dpre = arrays.reduction[kPre],
       .n = phase.num_iters,
   });
   ctx.charge_flops(52 * phase.num_iters);

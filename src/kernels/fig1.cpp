@@ -67,7 +67,7 @@ void Fig1Kernel::compute_phase(earth::FiberContext& ctx,
       .eg = phase.iter_global.data(),
       .y = y_.data(),
       .c = c_,
-      .x = arrays.reduction[0].data(),
+      .x = arrays.reduction[0],
       .n = phase.num_iters,
   });
   ctx.charge_flops(3 * phase.num_iters);

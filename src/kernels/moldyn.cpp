@@ -89,12 +89,12 @@ void MoldynKernel::compute_phase(earth::FiberContext& ctx,
       .ia2 = phase.indir_row(1),
       .eg = phase.iter_global.data(),
       .edges = mesh_.edges.data(),
-      .px = arrays.node_read[0].data(),
-      .py = arrays.node_read[1].data(),
-      .pz = arrays.node_read[2].data(),
-      .fx = arrays.reduction[0].data(),
-      .fy = arrays.reduction[1].data(),
-      .fz = arrays.reduction[2].data(),
+      .px = arrays.node_read[0],
+      .py = arrays.node_read[1],
+      .pz = arrays.node_read[2],
+      .fx = arrays.reduction[0],
+      .fy = arrays.reduction[1],
+      .fz = arrays.reduction[2],
       .n = phase.num_iters,
   });
   ctx.charge_flops(49 * phase.num_iters);

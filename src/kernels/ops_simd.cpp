@@ -99,29 +99,28 @@ constexpr std::size_t kBlock = 256;
 // ---------------------------------------------------------------------
 // Scatter-accumulation helpers. Accumulation order is the bit-identity
 // contract, so these stay scalar and j-ascending; the AVX-512 tier
-// vectorizes only the gather + arithmetic above them.
+// vectorizes only the gather + arithmetic above them, and the
+// ReductionView's element/slot select (resolve_block), so each scatter
+// is one load-add-store through a precomputed address.
 // ---------------------------------------------------------------------
 
-inline void scatter_add(double* x, const std::uint32_t* ia,
-                        const double* c, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) x[ia[j]] += c[j];
+inline void scatter_add(double* const* x, const double* c, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) *x[j] += c[j];
 }
 
-inline void scatter_add_both(double* x, const std::uint32_t* ia1,
-                             const std::uint32_t* ia2, const double* c,
-                             std::size_t n) {
+inline void scatter_add_both(double* const* x1, double* const* x2,
+                             const double* c, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
-    x[ia1[j]] += c[j];
-    x[ia2[j]] += c[j];
+    *x1[j] += c[j];
+    *x2[j] += c[j];
   }
 }
 
-inline void scatter_add_sub(double* x, const std::uint32_t* ia1,
-                            const std::uint32_t* ia2, const double* c,
-                            std::size_t n) {
+inline void scatter_add_sub(double* const* x1, double* const* x2,
+                            const double* c, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
-    x[ia1[j]] += c[j];
-    x[ia2[j]] -= c[j];
+    *x1[j] += c[j];
+    *x2[j] -= c[j];
   }
 }
 
@@ -150,8 +149,34 @@ ER_TGT_AVX512 inline __m256i gather_edge_b8(const mesh::Edge* edges,
       reinterpret_cast<const int*>(&edges[0].b), e, 8);
 }
 
+// Addresses of x[ia[j]] for one block. The select between the element
+// array and the buffer slots runs in vector lanes: a slot id i >= n maps
+// to slot + (i - n), i.e. to (slot - n) + i, computed in integers.
+ER_TGT_AVX512 void resolve_block(core::ReductionView x,
+                                 const std::uint32_t* ia, std::size_t n,
+                                 double** out) {
+  const auto elem = reinterpret_cast<std::int64_t>(x.elem);
+  const auto slot = reinterpret_cast<std::int64_t>(x.slot) -
+                    static_cast<std::int64_t>(x.num_elements) *
+                        static_cast<std::int64_t>(sizeof(double));
+  const __m512i split = _mm512_set1_epi64(x.num_elements);
+  const __m512i ebase = _mm512_set1_epi64(elem);
+  const __m512i sbase = _mm512_set1_epi64(slot);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m512i i = _mm512_cvtepu32_epi64(load_idx8(ia + j));
+    const __m512i base = _mm512_mask_blend_epi64(
+        _mm512_cmpge_epu64_mask(i, split), ebase, sbase);
+    _mm512_storeu_si512(out + j,
+                        _mm512_add_epi64(base, _mm512_slli_epi64(i, 3)));
+  }
+  for (; j < n; ++j) out[j] = &x[ia[j]];
+}
+
 ER_TGT_AVX512 void fig1_avx512(const Fig1Args& a) {
   double contrib[kBlock];
+  double* x1[kBlock];
+  double* x2[kBlock];
   const __m512d vc = _mm512_set1_pd(a.c);
   for (std::size_t base = 0; base < a.n; base += kBlock) {
     const std::size_t n = std::min(kBlock, a.n - base);
@@ -163,13 +188,17 @@ ER_TGT_AVX512 void fig1_avx512(const Fig1Args& a) {
       _mm512_storeu_pd(contrib + j, _mm512_mul_pd(y, vc));
     }
     for (; j < n; ++j) contrib[j] = a.y[eg[j]] * a.c;
-    scatter_add_both(a.x, a.ia1 + base, a.ia2 + base, contrib, n);
+    resolve_block(a.x, a.ia1 + base, n, x1);
+    resolve_block(a.x, a.ia2 + base, n, x2);
+    scatter_add_both(x1, x2, contrib, n);
   }
 }
 
 ER_TGT_AVX512 void euler_avx512(const EulerArgs& a) {
   double vbuf[kBlock];
   double pbuf[kBlock];
+  double* x1[kBlock];
+  double* x2[kBlock];
   const __m512d half = _mm512_set1_pd(0.5);
   const __m512d quarter = _mm512_set1_pd(0.25);
   for (std::size_t base = 0; base < a.n; base += kBlock) {
@@ -207,8 +236,12 @@ ER_TGT_AVX512 void euler_avx512(const EulerArgs& a) {
       vbuf[j] = c * (p1 - p2);
       pbuf[j] = c * 0.5 * (v1 + v2) + 0.25 * c * (p1 - p2);
     }
-    scatter_add_sub(a.dvel, a.ia1 + base, a.ia2 + base, vbuf, n);
-    scatter_add_sub(a.dpre, a.ia1 + base, a.ia2 + base, pbuf, n);
+    resolve_block(a.dvel, a.ia1 + base, n, x1);
+    resolve_block(a.dvel, a.ia2 + base, n, x2);
+    scatter_add_sub(x1, x2, vbuf, n);
+    resolve_block(a.dpre, a.ia1 + base, n, x1);
+    resolve_block(a.dpre, a.ia2 + base, n, x2);
+    scatter_add_sub(x1, x2, pbuf, n);
   }
 }
 
@@ -216,6 +249,8 @@ ER_TGT_AVX512 void moldyn_avx512(const MoldynArgs& a) {
   double f0buf[kBlock];
   double f1buf[kBlock];
   double f2buf[kBlock];
+  double* x1[kBlock];
+  double* x2[kBlock];
   const __m512d vq = _mm512_set1_pd(0.25);
   const __m512d v1 = _mm512_set1_pd(1.0);
   const __m512d v2 = _mm512_set1_pd(2.0);
@@ -272,14 +307,19 @@ ER_TGT_AVX512 void moldyn_avx512(const MoldynArgs& a) {
       f1buf[j] = clamped * d1;
       f2buf[j] = clamped * d2;
     }
-    scatter_add_sub(a.fx, a.ia1 + base, a.ia2 + base, f0buf, n);
-    scatter_add_sub(a.fy, a.ia1 + base, a.ia2 + base, f1buf, n);
-    scatter_add_sub(a.fz, a.ia1 + base, a.ia2 + base, f2buf, n);
+    const core::ReductionView* views[3] = {&a.fx, &a.fy, &a.fz};
+    const double* bufs[3] = {f0buf, f1buf, f2buf};
+    for (int d = 0; d < 3; ++d) {
+      resolve_block(*views[d], a.ia1 + base, n, x1);
+      resolve_block(*views[d], a.ia2 + base, n, x2);
+      scatter_add_sub(x1, x2, bufs[d], n);
+    }
   }
 }
 
 ER_TGT_AVX512 void spmv_t_avx512(const SpmvTArgs& a) {
   double prod[kBlock];
+  double* y[kBlock];
   for (std::size_t base = 0; base < a.n; base += kBlock) {
     const std::size_t n = std::min(kBlock, a.n - base);
     const std::uint32_t* eg = a.eg + base;
@@ -296,7 +336,8 @@ ER_TGT_AVX512 void spmv_t_avx512(const SpmvTArgs& a) {
       const std::uint32_t e = eg[j];
       prod[j] = a.val[e] * a.x[a.row[e]];
     }
-    scatter_add(a.y, a.ia + base, prod, n);
+    resolve_block(a.y, a.ia + base, n, y);
+    scatter_add(y, prod, n);
   }
 }
 

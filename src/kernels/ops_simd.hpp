@@ -12,11 +12,14 @@
 // lanes (IEEE-exact per lane, no FMA contraction — this file is built
 // with -ffp-contract=off), while the scatter accumulation into reduction
 // arrays is always scalar and j-ascending, because accumulation *order*
-// is the contract.
+// is the contract. Reduction outputs are core::ReductionView, so each
+// scatter selects between the element array and the worker's buffer
+// slots per index; gathers read plain arrays.
 
 #include <cstddef>
 #include <cstdint>
 
+#include "core/kernel.hpp"
 #include "mesh/mesh.hpp"
 
 namespace earthred::kernels::ops {
@@ -28,7 +31,7 @@ struct Fig1Args {
   const std::uint32_t* eg = nullptr;
   const double* y = nullptr;
   double c = 0.0;
-  double* x = nullptr;
+  core::ReductionView x{};
   std::size_t n = 0;
 };
 
@@ -41,8 +44,8 @@ struct EulerArgs {
   const double* coef = nullptr;
   const double* vel = nullptr;
   const double* pre = nullptr;
-  double* dvel = nullptr;
-  double* dpre = nullptr;
+  core::ReductionView dvel{};
+  core::ReductionView dpre{};
   std::size_t n = 0;
 };
 
@@ -55,9 +58,9 @@ struct MoldynArgs {
   const double* px = nullptr;
   const double* py = nullptr;
   const double* pz = nullptr;
-  double* fx = nullptr;
-  double* fy = nullptr;
-  double* fz = nullptr;
+  core::ReductionView fx{};
+  core::ReductionView fy{};
+  core::ReductionView fz{};
   std::size_t n = 0;
 };
 
@@ -68,7 +71,7 @@ struct SpmvTArgs {
   const std::uint32_t* row = nullptr;
   const double* val = nullptr;
   const double* x = nullptr;
-  double* y = nullptr;
+  core::ReductionView y{};
   std::size_t n = 0;
 };
 

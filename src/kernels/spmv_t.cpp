@@ -72,7 +72,7 @@ void SpmvTKernel::compute_phase(earth::FiberContext& ctx,
       .row = row_.data(),
       .val = val_.data(),
       .x = x_.data(),
-      .y = arrays.reduction[0].data(),
+      .y = arrays.reduction[0],
       .n = phase.num_iters,
   });
   ctx.charge_flops(2 * phase.num_iters);

@@ -155,6 +155,72 @@ TEST(NativeEngine, LostForwardTripsStallWatchdog) {
   }
 }
 
+TEST(NativeEngine, WithheldReadinessTripsStallAtTheSweepBoundary) {
+  // The final owner of a portion publishes its node-read refresh at the
+  // portion's last owning phase; drop that (and the ring forward) in
+  // sweep 0 of a 2-sweep run. Every worker then waits at the sweep-1
+  // boundary for that portion, and the watchdog must name the waiting
+  // worker and the portion instead of hanging.
+  const kernels::EulerKernel kernel(
+      mesh::make_geometric_mesh({160, 700, 8}));
+  PlanOptions plan_opt;
+  plan_opt.num_procs = 4;
+  plan_opt.k = 2;
+  const ExecutionPlan plan = build_execution_plan(kernel, plan_opt);
+  const std::uint32_t pid = 5;
+  SweepOptions sweep_opt;
+  sweep_opt.sweeps = 2;
+  sweep_opt.stall_timeout = 0.5;
+  sweep_opt.lose_forward = {true, plan.sched.final_owner(pid),
+                            plan.sched.last_owning_phase(pid), 0};
+  try {
+    run_native_plan(kernel, plan, sweep_opt);
+    FAIL() << "expected the stall watchdog to fire";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stalled"), std::string::npos) << what;
+    EXPECT_NE(what.find("stuck waiting for node-read portion 5 "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("proc "), std::string::npos) << what;
+  }
+}
+
+TEST(NativeEngine, ProfileAccountsRunStateAndStages) {
+  // The stage recorder: run state is X, every worker's buffer slots and
+  // both node-read parities, and no worker's stages add up to more than
+  // the run's wall time.
+  const kernels::EulerKernel kernel(
+      mesh::make_geometric_mesh({300, 1500, 17}));
+  PlanOptions plan_opt;
+  plan_opt.num_procs = 3;
+  plan_opt.k = 2;
+  const ExecutionPlan plan = build_execution_plan(kernel, plan_opt);
+  SweepOptions sweep_opt;
+  sweep_opt.sweeps = 3;
+  const NativeResult r = run_native_plan(kernel, plan, sweep_opt);
+
+  const KernelShape s = kernel.shape();
+  std::uint64_t slots = 0;
+  for (const inspector::InspectorResult& insp : plan.insp)
+    slots += insp.local_array_size - s.num_nodes;
+  EXPECT_GT(slots, 0u);
+  EXPECT_EQ(r.profile.run_state_bytes,
+            8 * (std::uint64_t{s.num_reduction_arrays} * s.num_nodes +
+                 std::uint64_t{s.num_reduction_arrays} * slots +
+                 2 * std::uint64_t{s.num_node_read_arrays} * s.num_nodes));
+  ASSERT_EQ(r.profile.workers.size(), plan_opt.num_procs);
+  EXPECT_GE(r.profile.setup_s, 0.0);
+  for (const WorkerStages& w : r.profile.workers) {
+    EXPECT_GE(w.setup_s, 0.0);
+    EXPECT_GT(w.compute_s, 0.0);
+    EXPECT_GE(w.wait_s, 0.0);
+    EXPECT_GE(w.fold_s, 0.0);
+    EXPECT_LE(w.setup_s + w.compute_s + w.wait_s + w.fold_s,
+              r.wall_seconds);
+  }
+}
+
 TEST(NativeEngine, ZeroStallTimeoutStillRunsCleanSchedules) {
   // stall_timeout = 0 restores the unbounded-wait behavior; a healthy
   // run must complete and stay correct.

@@ -305,6 +305,41 @@ TEST(JobScheduler, DeadlineStallSurfacesAsFailedJob) {
   EXPECT_EQ(ok_handle.wait().state, JobState::Done);
 }
 
+TEST(JobScheduler, HealthyJobAfterAStallMatchesAFreshScheduler) {
+  // A stalled job must leave nothing behind in the worker or the cached
+  // plan it shares: the next job on the same kernel returns the digest a
+  // fresh scheduler produces.
+  const auto kernel = std::make_shared<kernels::EulerKernel>(
+      mesh::make_geometric_mesh({200, 1000, 23}));
+  const auto job = [&](const std::string& name) {
+    JobRequest req;
+    req.kernel = kernel;
+    req.name = name;
+    req.plan = plan_opts(4, 2);
+    req.sweeps = 3;
+    return req;
+  };
+  const auto healthy_digest = [&](JobScheduler& sched) {
+    const JobHandle h = sched.submit(job("healthy"));
+    const JobOutcome& o = h.wait();
+    EXPECT_EQ(o.state, JobState::Done) << o.error;
+    return result_digest(o.native);
+  };
+
+  JobScheduler::Config cfg;
+  cfg.workers = 1;
+  JobScheduler sched(cfg);
+  JobRequest stall = job("stalling");
+  stall.deadline_seconds = 0.3;
+  stall.lose_forward = {true, 0, 0, 0};
+  const JobHandle stalled = sched.submit(std::move(stall));
+  EXPECT_EQ(stalled.wait().state, JobState::Failed);
+  const std::uint64_t after_stall = healthy_digest(sched);
+
+  JobScheduler fresh(cfg);
+  EXPECT_EQ(after_stall, healthy_digest(fresh));
+}
+
 TEST(JobScheduler, BatchSharesOnePlanAcrossJobs) {
   JobScheduler::Config cfg;
   cfg.workers = 4;

@@ -378,6 +378,21 @@ int cmd_run(const Options& opt) {
     t.add_row({"executor", wopt.batch ? strformat("batched (%s)",
                                                   kernels::ops::batch_tier())
                                         : "per-edge"});
+    t.add_row({"run state bytes",
+               fmt_group(static_cast<long long>(r.profile.run_state_bytes))});
+    t.add_row({"run setup seconds (caller)", fmt_f(r.profile.setup_s, 4)});
+    t.print(std::cout);
+    // The stage recorder: where each worker's wall time went.
+    Table st("stages (seconds per worker)");
+    st.set_header({"worker", "setup", "compute", "wait", "fold"});
+    for (std::size_t w = 0; w < r.profile.workers.size(); ++w) {
+      const core::WorkerStages& ws = r.profile.workers[w];
+      st.add_row({std::to_string(w), fmt_f(ws.setup_s, 4),
+                  fmt_f(ws.compute_s, 4), fmt_f(ws.wait_s, 4),
+                  fmt_f(ws.fold_s, 4)});
+    }
+    st.print(std::cout);
+    return 0;
   } else {
     core::RunResult r;
     if (engine == "classic") {
