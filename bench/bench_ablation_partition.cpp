@@ -22,7 +22,6 @@
 #include "mesh/generators.hpp"
 #include "mesh/partition.hpp"
 #include "support/options.hpp"
-#include "support/prng.hpp"
 
 int main(int argc, char** argv) {
   using namespace earthred;
@@ -34,12 +33,7 @@ int main(int argc, char** argv) {
   const mesh::Mesh natural = mesh::euler_mesh_small();
 
   // Scrambled numbering.
-  Xoshiro256 rng(101);
-  std::vector<std::uint32_t> shuffle(natural.num_nodes);
-  for (std::uint32_t i = 0; i < natural.num_nodes; ++i) shuffle[i] = i;
-  for (std::uint32_t i = natural.num_nodes - 1; i > 0; --i)
-    std::swap(shuffle[i], shuffle[rng.below(i + 1)]);
-  const mesh::Mesh scrambled = mesh::renumber(natural, shuffle);
+  const mesh::Mesh scrambled = mesh::shuffle_nodes(natural, 101);
 
   // RCB-partitioned numbering (aligned with P block owners).
   const auto part = mesh::rcb_partition(scrambled, P);

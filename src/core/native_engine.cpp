@@ -35,6 +35,13 @@
 #define EARTHRED_HAS_MADVISE 0
 #endif
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#define EARTHRED_HAS_MALLOC_TRIM 1
+#else
+#define EARTHRED_HAS_MALLOC_TRIM 0
+#endif
+
 namespace earthred::core {
 
 using inspector::InspectorResult;
@@ -60,22 +67,22 @@ void pin_current_thread(std::uint32_t worker) {
 
 /// Below this many edges a parallel plan build loses to serial: thread
 /// spawn/join plus cold per-worker caches outweigh the inspector work, so
-/// run_per_proc quietly degrades to the serial loop (bench_hotpath Part 2
-/// gates build_threads never losing to serial).
+/// run_per_proc runs the serial loop (bench_hotpath Part 2 gates the
+/// default build never losing to serial above it).
 constexpr std::uint64_t kParallelBuildMinEdges = 1u << 18;
 
-/// Runs fn(p) for every processor 0..P-1 on `build_threads` workers
-/// (1 = serial, 0 = one per affinity-visible core), rethrowing the first
-/// worker exception. Shared by the cold build and the incremental patch.
-/// `work_items` is the total edge count the workers will chew through;
-/// small builds run serial regardless of build_threads (see above).
+/// Runs fn(p) for every processor 0..P-1, rethrowing the first worker
+/// exception. Shared by the cold build and the incremental patch. At or
+/// above kParallelBuildMinEdges `num_edges` it uses min(P, hardware
+/// threads) workers, below it the calling thread alone. Each processor's
+/// run is independent and deterministic, so the plan is byte-identical
+/// either way.
 template <typename Fn>
-void run_per_proc(std::uint32_t P, std::uint32_t build_threads,
-                  std::uint64_t work_items, const Fn& fn) {
-  std::uint32_t workers =
-      build_threads == 0 ? support::hardware_threads() : build_threads;
-  workers = std::min(workers, P);
-  if (work_items < kParallelBuildMinEdges) workers = 1;
+void run_per_proc(std::uint32_t P, std::uint64_t num_edges, const Fn& fn) {
+  const std::uint32_t workers =
+      num_edges < kParallelBuildMinEdges
+          ? 1
+          : std::min(P, support::hardware_threads());
   if (workers <= 1) {
     for (std::uint32_t p = 0; p < P; ++p) fn(p);
     return;
@@ -100,6 +107,12 @@ void run_per_proc(std::uint32_t P, std::uint32_t build_threads,
     });
   }
   for (std::thread& t : pool) t.join();
+#if EARTHRED_HAS_MALLOC_TRIM
+  // The workers' freed temporaries (the reference gather, growth
+  // reallocations) sit in glibc's per-thread arenas, which keep them
+  // resident after the threads exit; hand them back to the OS.
+  malloc_trim(0);
+#endif
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -167,7 +180,7 @@ ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
         inspector::run_light_inspector(plan.sched, p, refs, opt.inspector);
   };
 
-  run_per_proc(P, opt.build_threads, shape.num_edges, build_one);
+  run_per_proc(P, shape.num_edges, build_one);
 
   plan.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -246,7 +259,9 @@ ExecutionPlan patch_execution_plan(
     plan.insp[p] = inspector::update_light_inspector(
         plan.sched, p, previous.insp[p], per_proc[p], opt.inspector);
   };
-  run_per_proc(P, opt.build_threads, changed_sorted.size(), patch_one);
+  // Sized by the base plan, not the change count: each affected
+  // processor's update streams its whole resident plan.
+  run_per_proc(P, previous.shape.num_edges, patch_one);
 
   plan.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -57,19 +57,12 @@ struct PlanOptions {
   /// Chunk size when distribution == BlockCyclic.
   std::uint32_t block_cyclic_size = 16;
   inspector::LightInspectorOptions inspector{};
-  /// Host threads used by build_execution_plan to run the per-processor
-  /// reference gather + LightInspector: 1 = serial (the pre-batching
-  /// behavior), 0 = one per hardware core, N = exactly N. The plan
-  /// produced is byte-identical regardless — each processor's inspector
-  /// run is independent and deterministic — so this knob deliberately
-  /// does NOT enter the PlanCache key.
-  std::uint32_t build_threads = 1;
   /// Run the structural plan verifier (inspector/plan_verifier.hpp) on
   /// the freshly built plan and throw verify_error if any rotation
   /// invariant fails. Defaults on in Debug builds (and CI, which builds
   /// Debug); off in Release, where the inspector is trusted and the
-  /// <5%-of-cold-build budget matters. Like build_threads, this does not
-  /// change the plan produced, so it is NOT part of the PlanCache key.
+  /// <5%-of-cold-build budget matters. This does not change the plan
+  /// produced, so it is NOT part of the PlanCache key.
 #ifdef NDEBUG
   bool verify = false;
 #else
@@ -121,10 +114,13 @@ struct ExecutionPlan {
 };
 
 /// Runs distribution + LightInspector for every processor and returns the
-/// immutable plan. Throws on invalid shapes (e.g. more portions than
-/// elements), and — when opt.verify is set — verify_error if the built
-/// plan violates a rotation invariant (structural verification only; the
-/// kernel cross-check below is reserved for admission paths).
+/// immutable plan. Kernels with 2^18 edges or more run the processors on
+/// min(P, hardware threads) host threads; the plan is byte-identical to a
+/// serial build, since each processor's run is independent. Throws on
+/// invalid shapes (e.g. more portions than elements), and — when
+/// opt.verify is set — verify_error if the built plan violates a rotation
+/// invariant (structural verification only; the kernel cross-check below
+/// is reserved for admission paths).
 ExecutionPlan build_execution_plan(const PhasedKernel& kernel,
                                    const PlanOptions& opt);
 
@@ -149,8 +145,10 @@ inspector::PlanVerifyReport verify_execution_plan(
 /// previous plan was built for; `kernel` carries the *new* references.
 /// The result is bit-identical to a fresh build (property-tested in
 /// tests/test_plan_patch.cpp) at a cost proportional to the touched
-/// iterations per processor. Requires an identical shape and identical
-/// PlanOptions (same distribution, procs, k) and a non-dedup plan —
+/// iterations per processor; like the build, a base of 2^18 edges or
+/// more patches its processors on parallel host threads. Requires an
+/// identical shape and identical PlanOptions (same distribution, procs,
+/// k) and a non-dedup plan —
 /// violations throw precondition_error; when opt.verify is set the
 /// patched plan is re-verified in the same mode as a cold build and a
 /// violation throws verify_error. Callers wanting transparent fallback

@@ -212,6 +212,12 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
   std::vector<std::uint32_t> cl;  // sorted changed locals
   cl.reserve(changes.size());
   for (const ChangedIteration& ch : changes) cl.push_back(ch.local);
+  // rank[i + 1]: the number of changed locals <= i, so local i changed iff
+  // rank[i + 1] != rank[i]. One linear pass buys O(1) lookups in the two
+  // sweeps of the resident blocks below.
+  std::vector<std::uint32_t> rank(n_iters + 1, 0);
+  for (std::uint32_t c : cl) rank[c + 1] = 1;
+  for (std::size_t i = 0; i < n_iters; ++i) rank[i + 1] += rank[i];
 
   // --- 1. Remove the changed iterations from their old phases, freeing
   // their buffer slots. Canonicity of the base means each freed slot id
@@ -235,7 +241,7 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
     const std::span<std::uint32_t> flat = phase.indir_flat.mutate();
     std::size_t w = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (std::binary_search(cl.begin(), cl.end(), il[j])) {
+      if (rank[il[j] + 1] != rank[il[j]]) {
         for (std::size_t r = 0; r < num_refs; ++r)
           if (const std::uint32_t v = flat[r * n + j]; v >= n_elems)
             freed.push_back({v - n_elems, il[j]});
@@ -276,15 +282,11 @@ InspectorResult update_light_inspector(const RotationSchedule& sched,
       for (std::size_t r = 0; r < num_refs; ++r) {
         const std::uint32_t* row = phase.indir_flat.data() + r * n;
         for (std::size_t j = 0; j < n; ++j)
-          if (row[j] >= n_elems)
-            ++bump[static_cast<std::size_t>(
-                std::upper_bound(cl.begin(), cl.end(), il[j]) - cl.begin())];
+          if (row[j] >= n_elems) ++bump[rank[il[j] + 1]];
       }
     }
     std::vector<std::uint32_t> freed_per(cl.size(), 0);
-    for (const FreedSlot& f : freed)
-      ++freed_per[static_cast<std::size_t>(
-          std::lower_bound(cl.begin(), cl.end(), f.local) - cl.begin())];
+    for (const FreedSlot& f : freed) ++freed_per[rank[f.local]];
     std::uint32_t surviving = 0, freed_before = 0;
     for (std::size_t i = 0; i < cl.size(); ++i) {
       surviving += bump[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -284,6 +285,15 @@ std::vector<std::uint32_t> rewire_edges(Mesh& m, std::uint64_t count,
   }
   m.validate();
   return std::vector<std::uint32_t>(slots.begin(), slots.end());
+}
+
+Mesh shuffle_nodes(const Mesh& m, std::uint64_t seed) {
+  std::vector<std::uint32_t> perm(m.num_nodes);
+  std::iota(perm.begin(), perm.end(), 0u);
+  Xoshiro256 rng(seed);
+  for (std::uint32_t i = m.num_nodes; i > 1; --i)
+    std::swap(perm[i - 1], perm[rng.below(i)]);
+  return renumber(m, perm);
 }
 
 }  // namespace earthred::mesh

@@ -76,4 +76,9 @@ void rebuild_interactions(Mesh& m, std::uint64_t num_edges);
 std::vector<std::uint32_t> rewire_edges(Mesh& m, std::uint64_t count,
                                         std::uint64_t seed);
 
+/// Renumbers the nodes by a uniform random permutation drawn from `seed`
+/// (Fisher-Yates), so node ids carry no locality: every processor's
+/// references spread over every portion.
+Mesh shuffle_nodes(const Mesh& m, std::uint64_t seed);
+
 }  // namespace earthred::mesh

@@ -29,8 +29,8 @@ const std::set<std::string>& known_keys() {
       "kernel",  "mesh",    "preset",      "nodes",   "edges",
       "seed",    "procs",   "k",           "dist",    "bc",
       "dedup",   "sweeps",  "deadline",    "engine",  "name",
-      "batch",   "no-batch","pin",         "parallel-build",
-      "verify",  "mutate",  "mutate-seed", "dsl"};
+      "batch",   "no-batch","pin",         "verify",
+      "mutate",  "mutate-seed", "dsl"};
   return keys;
 }
 
@@ -118,9 +118,6 @@ void request_from_keys(const Options& jopt, JobRequest& req) {
     req.affinity.pin_threads = true;
     req.affinity.first_touch = true;
   }
-  if (jopt.has("parallel-build"))
-    req.plan.build_threads =
-        static_cast<std::uint32_t>(jopt.get_int("parallel-build", 0));
   const std::string verify = jopt.get("verify");
   if (!verify.empty()) {
     ER_CHECK_MSG(verify == "on" || verify == "off",
@@ -193,8 +190,6 @@ JobBuild JobBuilder::build(std::string_view line, std::size_t lineno) {
     bounded("k", 2, limits_.max_k);
     bounded("sweeps", 1, limits_.max_sweeps);
     bounded("bc", 16, limits_.max_block_cyclic);
-    if (jopt.has("parallel-build"))
-      bounded("parallel-build", 0, limits_.max_build_threads);
     if (nodes == 0 || edges == 0)
       return fail("E-JOB-RANGE", "nodes and edges must be positive");
     if (jopt.get("name").size() > limits_.max_name_bytes)

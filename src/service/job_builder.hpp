@@ -12,7 +12,7 @@
 //   E-JOB-KEY       unknown key (typo or junk — never silently ignored)
 //   E-JOB-VALUE     malformed value (non-numeric count, bad enum, ...)
 //   E-JOB-RANGE     value outside its documented bound (nodes, edges,
-//                   procs, k, sweeps, bc, parallel-build, name length)
+//                   procs, k, sweeps, bc, name length)
 //   E-JOB-MUTATE    mutate= rewire count above max_mutate
 //   E-JOB-FILEIO    mesh=/dsl= file reference where file IO is disabled
 //                   (networked submissions must not read server files)
@@ -45,7 +45,6 @@ struct JobLimits {
   std::uint64_t max_k = 64;
   std::uint64_t max_sweeps = 100000;
   std::uint64_t max_block_cyclic = 1u << 20;
-  std::uint64_t max_build_threads = 1024;
   /// False for networked submissions: `mesh=`/`dsl=` file references are
   /// refused (E-JOB-FILEIO) instead of reading server-side paths chosen
   /// by a remote peer.

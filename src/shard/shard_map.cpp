@@ -167,9 +167,8 @@ std::uint64_t content_key(std::string_view job_line) {
       // tokens still perturb the hash so distinct-but-invalid lines
       // cannot be confused.
       static const std::set<std::string> kNonRouting = {
-          "sweeps", "deadline", "engine",  "name",
-          "batch",  "no-batch", "pin",     "parallel-build",
-          "verify", "mutate",   "mutate-seed"};
+          "sweeps", "deadline", "engine", "name",  "batch",
+          "no-batch", "pin",    "verify", "mutate", "mutate-seed"};
       if (!kNonRouting.count(key)) {
         junk += std::string(t);
         junk += '\n';

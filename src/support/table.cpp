@@ -42,7 +42,8 @@ void Table::print(std::ostream& os) const {
       width[c] = std::max(width[c], r.cells[c].size());
   }
 
-  std::size_t total = header_.size() >= 1 ? 2 * header_.size() + 1 : 0;
+  // As wide as a row: '|' plus " cell |" (width + 3) per column.
+  std::size_t total = 3 * header_.size() + 1;
   for (auto w : width) total += w;
 
   if (!title_.empty()) os << "== " << title_ << " ==\n";

@@ -18,10 +18,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/native_engine.hpp"
 #include "core/plan_io.hpp"
+#include "inspector/distribution.hpp"
 #include "inspector/light_inspector.hpp"
 #include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
@@ -188,23 +190,47 @@ void expect_plans_identical(const ExecutionPlan& a, const ExecutionPlan& b) {
   }
 }
 
+/// The serial plan build assembled from its parts, one processor after
+/// another, the way bench/e2e's decomposition does: distribute the
+/// iterations, gather each processor's references, run its LightInspector.
+ExecutionPlan serial_reference_plan(const PhasedKernel& kernel,
+                                    const PlanOptions& popt) {
+  const KernelShape shape = kernel.shape();
+  ExecutionPlan plan{shape, popt,
+                     inspector::RotationSchedule(shape.num_nodes,
+                                                 popt.num_procs, popt.k),
+                     {}, 0.0, nullptr};
+  auto owned = inspector::distribute_iterations(
+      shape.num_edges, popt.num_procs, popt.distribution,
+      popt.block_cyclic_size);
+  for (std::uint32_t p = 0; p < popt.num_procs; ++p) {
+    inspector::IterationRefs iters;
+    iters.global_iter = std::move(owned[p]);
+    iters.refs.resize(shape.num_refs);
+    for (std::uint32_t r = 0; r < shape.num_refs; ++r)
+      for (const std::uint32_t e : iters.global_iter)
+        iters.refs[r].push_back(kernel.ref(r, e));
+    plan.insp.push_back(
+        inspector::run_light_inspector(plan.sched, p, iters, popt.inspector));
+  }
+  return plan;
+}
+
 TEST(BatchEquivalence, ParallelPlanBuildMatchesSerialExactly) {
-  // build_threads must never leak into the plan: each processor's
-  // inspector run is independent, so the task-pool build is byte-for-byte
-  // the serial build (this is what justifies keeping build_threads out of
-  // the PlanCache key).
-  const kernels::EulerKernel kernel(mesh::make_geometric_mesh({200, 900, 3}));
-  for (const std::uint32_t P : {1u, 3u, 8u}) {
+  // A kernel of 2^18 edges or more builds its processors on parallel host
+  // threads. Each processor's inspector run is independent, so the plan
+  // must be byte-for-byte the serial build: that is what keeps the thread
+  // count out of the PlanCache key. Shuffled node ids spread every
+  // processor's references over every portion, as on sweep-dram.
+  const kernels::EulerKernel kernel(mesh::shuffle_nodes(
+      mesh::make_geometric_mesh({40000, 300000, 3}), /*seed=*/5));
+  ASSERT_GE(kernel.shape().num_edges, 1u << 18);
+  for (const std::uint32_t P : {3u, 4u, 8u}) {
     PlanOptions popt;
     popt.num_procs = P;
     popt.k = 2;
-    popt.build_threads = 1;
-    const ExecutionPlan serial = build_execution_plan(kernel, popt);
-    for (const std::uint32_t threads : {0u, 2u, 4u, 16u}) {
-      popt.build_threads = threads;
-      const ExecutionPlan parallel = build_execution_plan(kernel, popt);
-      expect_plans_identical(serial, parallel);
-    }
+    expect_plans_identical(serial_reference_plan(kernel, popt),
+                           build_execution_plan(kernel, popt));
   }
 }
 

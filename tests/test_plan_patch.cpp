@@ -7,6 +7,7 @@
 // path relies on to avoid materializing the full distribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -226,6 +227,50 @@ TEST(PlanPatch, SparseUpdateMatchesFullTableOverload) {
       EXPECT_TRUE(updated.phases[ph].copy_src == fresh.phases[ph].copy_src);
     }
   }
+}
+
+TEST(PlanPatch, ParallelPatchOfALargePlanMatchesRebuildAndPerProcUpdate) {
+  // A base of 2^18 edges or more patches its processors on parallel host
+  // threads, whatever the change count. The result must be bit-identical
+  // to a fresh build and to each processor's own update run serially.
+  const mesh::Mesh base_mesh = mesh::shuffle_nodes(
+      mesh::make_geometric_mesh({40000, 300000, 13}), /*seed=*/17);
+  mesh::Mesh mutated_mesh = base_mesh;
+  const std::vector<std::uint32_t> changed =
+      mesh::rewire_edges(mutated_mesh, 1500, /*seed=*/19);
+  const auto kernel = kernel_for("euler", base_mesh);
+  const auto mutated = kernel_for("euler", std::move(mutated_mesh));
+  const core::KernelShape shape = kernel->shape();
+  ASSERT_GE(shape.num_edges, 1u << 18);
+
+  core::PlanOptions opt;
+  opt.num_procs = 4;
+  opt.k = 2;
+  const core::ExecutionPlan base = core::build_execution_plan(*kernel, opt);
+  const core::ExecutionPlan patched =
+      core::patch_execution_plan(*mutated, base, changed);
+  EXPECT_TRUE(core::plans_bit_identical(
+      patched, core::build_execution_plan(*mutated, opt)));
+
+  core::ExecutionPlan per_proc{shape, opt, base.sched, {}, 0.0, nullptr};
+  const auto owned = inspector::distribute_iterations(
+      shape.num_edges, opt.num_procs, opt.distribution,
+      opt.block_cyclic_size);
+  for (std::uint32_t p = 0; p < opt.num_procs; ++p) {
+    inspector::IterationRefs iters;
+    iters.global_iter = owned[p];
+    iters.refs.resize(shape.num_refs);
+    std::vector<std::uint32_t> changed_local;
+    for (std::size_t l = 0; l < owned[p].size(); ++l) {
+      for (std::uint32_t r = 0; r < shape.num_refs; ++r)
+        iters.refs[r].push_back(mutated->ref(r, owned[p][l]));
+      if (std::binary_search(changed.begin(), changed.end(), owned[p][l]))
+        changed_local.push_back(static_cast<std::uint32_t>(l));
+    }
+    per_proc.insp.push_back(inspector::update_light_inspector(
+        base.sched, p, iters, base.insp[p], changed_local, {}));
+  }
+  EXPECT_TRUE(core::plans_bit_identical(patched, per_proc));
 }
 
 TEST(PlanPatch, RejectsMismatchedChangeSets) {

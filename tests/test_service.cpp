@@ -738,15 +738,19 @@ TEST(StrategyService, BuilderParsesStrategyJobKey) {
 }
 
 TEST(StrategyService, BuilderRejectsRetiredSpellings) {
-  // The retired backend= and layout= keys fail as coded job errors,
-  // never as a silently ignored token.
+  // The retired backend, layout and build-thread keys fail as coded job
+  // errors that name the key, never as a silently ignored token.
   JobBuilder builder;
-  for (const char* retired : {"backend=avx2", "layout=rcm", "layout=none"}) {
+  for (const std::string retired :
+       {"backend=avx2", "layout=rcm", "layout=none", "parallel-build",
+        "parallel-build=4"}) {
     const JobBuild b = builder.build(
-        std::string("kernel=fig1 nodes=100 edges=500 procs=4 k=2 ") +
-        retired);
+        "kernel=fig1 nodes=100 edges=500 procs=4 k=2 " + retired);
     EXPECT_FALSE(b.ok()) << retired;
     EXPECT_EQ(b.code, "E-JOB-KEY") << retired << ": " << b.detail;
+    EXPECT_NE(b.detail.find(retired.substr(0, retired.find('='))),
+              std::string::npos)
+        << retired << ": " << b.detail;
   }
 }
 

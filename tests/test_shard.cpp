@@ -358,25 +358,29 @@ TEST(Router, JobCodesPropagateWithoutFailover) {
 }
 
 TEST(Router, RetiredKeysAreCodedRejects) {
-  // backend=, layout= and strategy= are no longer job keys: routed like
-  // any unknown token, the owning shard's JobBuilder refuses them with
-  // E-JOB-KEY, and the fleet keeps serving.
+  // The backend, layout, strategy and build-thread keys are no longer job
+  // keys: routed like any unknown token, the owning shard's JobBuilder
+  // refuses them with an E-JOB-KEY that names the key, and the fleet
+  // keeps serving.
   TestFleet fleet(2);
   net::Client client(fleet.client_config());
-  for (const char* retired :
-       {"backend=avx512", "layout=rcm", "strategy=privatized"}) {
+  for (const std::string retired :
+       {"backend=avx512", "layout=rcm", "strategy=privatized",
+        "parallel-build", "parallel-build=4"}) {
     const net::Client::Reply r = client.submit(
-        std::string("kernel=fig1 nodes=80 edges=400 procs=4 k=2 ") +
-        retired);
+        "kernel=fig1 nodes=80 edges=400 procs=4 k=2 " + retired);
     ASSERT_FALSE(r.ok()) << retired;
     EXPECT_EQ(r.code, "E-JOB-KEY") << retired << ": " << r.detail;
+    EXPECT_NE(r.detail.find(retired.substr(0, retired.find('='))),
+              std::string::npos)
+        << retired << ": " << r.detail;
   }
 
   const net::Client::Reply ok =
       client.submit("kernel=fig1 nodes=80 edges=400 procs=4 k=2 sweeps=2");
   ASSERT_TRUE(ok.ok()) << ok.code << ": " << ok.detail;
   EXPECT_EQ(static_cast<JobState>(ok.result.state), JobState::Done);
-  EXPECT_EQ(fleet.router->stats().submit_rejects, 3u);
+  EXPECT_EQ(fleet.router->stats().submit_rejects, 5u);
 }
 
 TEST(Router, PingReportsRouterHealth) {

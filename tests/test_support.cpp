@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "kernels/ops_simd.hpp"
 #include "support/check.hpp"
@@ -206,6 +209,32 @@ TEST(Table, RendersAlignedRows) {
   EXPECT_NE(out.find("22"), std::string::npos);
   // Header separator present.
   EXPECT_NE(out.find("---"), std::string::npos);
+}
+
+TEST(Table, RulesSpanTheRows) {
+  Table t("widths");
+  t.set_header({"name", "value", "note"});
+  t.add_row({"alpha", "1", ""});
+  t.add_rule();
+  t.add_row({"b", "22222", "x"});
+  std::istringstream lines(t.to_string());
+  std::string line;
+  std::size_t rules = 0, rows = 0, row_width = 0;
+  std::vector<std::size_t> rule_widths;
+  while (std::getline(lines, line)) {
+    if (line.rfind("==", 0) == 0) continue;  // title
+    if (line.find_first_not_of('-') == std::string::npos) {
+      ++rules;
+      rule_widths.push_back(line.size());
+    } else {
+      ++rows;
+      if (row_width == 0) row_width = line.size();
+      EXPECT_EQ(line.size(), row_width) << line;
+    }
+  }
+  EXPECT_EQ(rows, 3u);   // header + 2 data rows
+  EXPECT_EQ(rules, 4u);  // top, under the header, group, bottom
+  for (const std::size_t w : rule_widths) EXPECT_EQ(w, row_width);
 }
 
 TEST(Table, RowWidthMismatchThrows) {

@@ -12,8 +12,8 @@
 //                        native engine only:
 //                        [--batch|--no-batch] (batched compute_phase hot
 //                        path, default on) [--pin] (worker pinning +
-//                        first-touch) [--parallel-build[=T]] (plan build
-//                        task pool; T omitted = all cores)
+//                        first-touch); plans of 2^18 edges or more build
+//                        on every core
 //                        fault injection (engine=rotation only):
 //                        [--fault-drop=p] [--fault-corrupt=p]
 //                        [--fault-dup=p] [--fault-delay=p]
@@ -98,10 +98,9 @@
 // preset=<name> or nodes=N edges=E [seed=S], procs=P, k=K,
 // dist=block|cyclic|bc [bc=CHUNK], sweeps=N, [dedup], [deadline=S],
 // [engine=native|sim], [name=LABEL], [no-batch], [pin],
-// [parallel-build[=T]], [verify=on|off] (plan verification before the
-// sweeps; defaults to the build type's PlanOptions::verify). Jobs on the
-// same mesh share one cached execution plan (see
-// src/service/plan_cache.hpp).
+// [verify=on|off] (plan verification before the sweeps; defaults to the
+// build type's PlanOptions::verify). Jobs on the same mesh share one
+// cached execution plan (see src/service/plan_cache.hpp).
 //
 // Adaptive jobs: mutate=N [mutate-seed=S] rewires N random interactions
 // of the job's mesh and submits the mutated kernel with the *base* mesh's
@@ -263,18 +262,14 @@ int cmd_info(const Options& opt) {
   return 0;
 }
 
-/// Parsing of the native-engine hot-path `run` flags: --batch/--no-batch,
-/// --pin, --parallel-build[=T] (T omitted = one build thread per core).
-void hotpath_from_options(const Options& opt, core::PlanOptions& popt,
-                          core::SweepOptions& sopt) {
+/// Parsing of the native-engine hot-path `run` flags: --batch/--no-batch
+/// and --pin.
+void hotpath_from_options(const Options& opt, core::SweepOptions& sopt) {
   sopt.batch = opt.has("no-batch") ? false : opt.get_bool("batch", true);
   if (opt.get_bool("pin", false)) {
     sopt.affinity.pin_threads = true;
     sopt.affinity.first_touch = true;
   }
-  if (opt.has("parallel-build"))
-    popt.build_threads =
-        static_cast<std::uint32_t>(opt.get_int("parallel-build", 0));
 }
 
 earth::FaultConfig fault_from_options(const Options& opt) {
@@ -370,7 +365,7 @@ int cmd_run(const Options& opt) {
     popt.distribution = dist;
     core::SweepOptions wopt;
     wopt.sweeps = sweeps;
-    hotpath_from_options(opt, popt, wopt);
+    hotpath_from_options(opt, wopt);
     const core::ExecutionPlan plan = core::build_execution_plan(*kernel, popt);
     const core::NativeResult r = core::run_native_plan(*kernel, plan, wopt);
     t.add_row({"plan build seconds", fmt_f(plan.build_seconds, 4)});
