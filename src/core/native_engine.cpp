@@ -351,22 +351,51 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
+#if EARTHRED_HAS_MADVISE
+/// Applies `advice` to the pages wholly inside [p, p + n). Failure is
+/// ignored: every caller's advice is a placement or page-size hint, never
+/// a correctness requirement.
+void advise_interior(double* p, std::size_t n, int advice) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto b =
+      (reinterpret_cast<std::uintptr_t>(p) + page - 1) / page * page;
+  const auto e = reinterpret_cast<std::uintptr_t>(p + n) / page * page;
+  if (e > b) (void)madvise(reinterpret_cast<void*>(b), e - b, advice);
+}
+#endif
+
 /// Under first-touch, drops the pages wholly inside [p, p + n) so the next
 /// write faults each one in on the writing worker's NUMA node; the
 /// contents read back as zero (private anonymous memory). Elsewhere a
 /// no-op: the arrays stay zeroed where the caller allocated them.
 void release_pages(double* p, std::size_t n) {
 #if EARTHRED_HAS_MADVISE
-  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-  const auto b =
-      (reinterpret_cast<std::uintptr_t>(p) + page - 1) / page * page;
-  const auto e = reinterpret_cast<std::uintptr_t>(p + n) / page * page;
-  if (e > b)
-    (void)madvise(reinterpret_cast<void*>(b), e - b, MADV_DONTNEED);
+  advise_interior(p, n, MADV_DONTNEED);
 #else
   (void)p;
   (void)n;
 #endif
+}
+
+/// Run-state arrays of at least this many bytes get huge-page advice.
+/// Below it an array spans at most one 2 MiB huge page, which the advice
+/// could not fill anyway.
+constexpr std::size_t kHugePageAdviceBytes = std::size_t{4} << 20;
+
+/// A zeroed run-state array (X, a node-read parity, a worker's slot rows).
+/// At or above kHugePageAdviceBytes the array is advised MADV_HUGEPAGE
+/// before the zero-fill first touches it, so the fill faults it in on
+/// 2 MiB pages where the host's transparent-huge-page mode is `madvise`
+/// or `always` (a no-op under `never`; no system setting is touched).
+std::vector<double> zeroed_run_array(std::size_t n) {
+  std::vector<double> a;
+  a.reserve(n);
+#if EARTHRED_HAS_MADVISE && defined(MADV_HUGEPAGE)
+  if (n * sizeof(double) >= kHugePageAdviceBytes)
+    advise_interior(a.data(), n, MADV_HUGEPAGE);
+#endif
+  a.resize(n, 0.0);
+  return a;
 }
 
 /// The paper's executor on shared memory: portions of one reduction
@@ -390,13 +419,16 @@ NativeResult run_phased(const PhasedKernel& kernel,
   // ---- per-run state (the plan itself stays untouched) ------------------
   // X: the job's one copy of every reduction array. The worker owning
   // portion pid in a phase is the only one touching X[pid] in that phase.
-  std::vector<std::vector<double>> X(RA, std::vector<double>(N, 0.0));
+  std::vector<std::vector<double>> X(RA);
+  for (std::vector<double>& a : X) a = zeroed_run_array(N);
   // Node-read arrays, double-buffered by sweep parity: sweep s reads
   // nodes[s % 2]; the final owner of each portion writes its refreshed
   // values into nodes[(s + 1) % 2].
   std::vector<std::vector<double>> nodes[2];
-  nodes[0].assign(NA, std::vector<double>(N, 0.0));
-  nodes[1].assign(NA, std::vector<double>(N, 0.0));
+  for (std::vector<std::vector<double>>& parity : nodes) {
+    parity.resize(NA);
+    for (std::vector<double>& a : parity) a = zeroed_run_array(N);
+  }
   kernel.init_node_arrays(nodes[0]);
   if (first_touch) {
     for (std::vector<double>& a : X) release_pages(a.data(), a.size());
@@ -494,7 +526,7 @@ NativeResult run_phased(const PhasedKernel& kernel,
       // The worker's private remote-buffer slots (ids >= N), one row of
       // B_p per reduction array, allocated and zeroed on this thread.
       const std::size_t B = insp.local_array_size - N;
-      std::vector<double> slots(B * RA, 0.0);
+      std::vector<double> slots = zeroed_run_array(B * RA);
       // ps: the views compute and the second loop use (reads nodes[s % 2]);
       // fin: the same reduction views with the refresh target for
       // update_nodes (nodes[(s + 1) % 2]).
@@ -586,14 +618,25 @@ NativeResult run_phased(const PhasedKernel& kernel,
           const auto t_fold = Clock::now();
           stages.compute_s += seconds_between(t_compute, t_fold);
 
-          // Second loop: fold this worker's buffer slots into the portion.
-          for (std::size_t j = 0; j < phase.copy_dst.size(); ++j) {
-            for (std::uint32_t a = 0; a < RA; ++a) {
-              ps.reduction[a][phase.copy_dst[j]] +=
-                  ps.reduction[a][phase.copy_src[j]];
-              ps.reduction[a][phase.copy_src[j]] = 0.0;
+          // Second loop: fold this worker's buffer slots into the portion,
+          // array by array over raw pointers. copy_dst < N and copy_src >=
+          // N are verifier invariants (E-PLAN-OOB, E-PLAN-SLOT-RANGE), so
+          // no access needs ReductionView's element/slot select. Each
+          // element still sums its slots in j order: bit-identical to an
+          // entry-major fold.
+          const std::size_t folds = phase.copy_dst.size();
+          const std::uint32_t* dst = phase.copy_dst.data();
+          const std::uint32_t* src = phase.copy_src.data();
+          for (std::uint32_t a = 0; a < RA; ++a) {
+            double* const x = X[a].data();
+            double* const s = slots.data() + a * B;
+            for (std::size_t j = 0; j < folds; ++j) {
+              x[dst[j]] += s[src[j] - N];
+              s[src[j] - N] = 0.0;
             }
           }
+          const auto t_refresh = Clock::now();
+          stages.fold_s += seconds_between(t_fold, t_refresh);
 
           // Hook: the messages this phase posts (its ownership token and,
           // at a last owning phase, the portion's readiness) vanish.
@@ -624,7 +667,7 @@ NativeResult run_phased(const PhasedKernel& kernel,
             }
           }
           t_mark = Clock::now();
-          stages.fold_s += seconds_between(t_fold, t_mark);
+          stages.refresh_s += seconds_between(t_refresh, t_mark);
 
           // Pass ownership around the ring.
           std::uint32_t tph = ph + k;

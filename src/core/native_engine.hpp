@@ -24,6 +24,13 @@
 //     remote-buffer slots (ids >= N) stay private and fold into X[pid]
 //     in the second loop. The adds are the same, in the same order, as
 //     with per-worker copies, so results are bit-identical.
+//   * the second loop runs array-major over raw pointers: for each
+//     reduction array a, x[copy_dst[j]] += s[copy_src[j] - N] and the
+//     slot is re-zeroed, j ascending, with x = X[a] and s = the worker's
+//     slot row of a. The verifier's E-PLAN-OOB and E-PLAN-SLOT-RANGE
+//     invariants (copy_dst < N <= copy_src) make ReductionView's
+//     element/slot select unnecessary there, and each element still sums
+//     its slots in j order, so the result matches an entry-major fold.
 //   * one array per node-read array, double-buffered by sweep parity:
 //     sweep s reads nodes[s % 2]; a portion's final owner writes
 //     nodes[(s + 1) % 2][pid] = nodes[s % 2][pid], runs update_nodes on
@@ -32,6 +39,17 @@
 //     which covers both hazards: reading a parity before it is complete,
 //     and overwriting the parity a slower worker still reads.
 //   * the last sweep moves X and the final parity into NativeResult.
+//
+// Run state (X, both node-read parities, each worker's slot rows) comes
+// from one allocator. On Linux an array of 4 MiB or more is advised
+// MADV_HUGEPAGE before its zero-fill first touches it, so it faults in on
+// 2 MiB pages where the host's transparent-huge-page mode is `madvise` or
+// `always`; under `never` the advice is a no-op, and no system setting is
+// touched. Smaller arrays are left alone. AffinityOptions::first_touch
+// still works on advised arrays: the caller's MADV_DONTNEED drops their
+// pages (splitting a huge page at a portion boundary where needed) and
+// each worker's first write faults them back in, so placement follows the
+// writer at huge-page rather than 4 KiB granularity.
 #pragma once
 
 #include <cstdint>
@@ -207,13 +225,16 @@ struct SweepOptions {
 
 /// Where one worker's time went, in the phase / portion / wait / fold
 /// vocabulary: a phase computes on its portion, waits for a portion (its
-/// ownership token, or every node-read portion at a sweep boundary), and
-/// folds (the second loop plus the node update of a completed portion).
+/// ownership token, or every node-read portion at a sweep boundary),
+/// folds its buffer slots in (the second loop), and, at a portion's last
+/// owning phase, refreshes it (node update and re-zero).
 struct WorkerStages {
   double setup_s = 0.0;    ///< thread start to first phase: pin, buffers
   double compute_s = 0.0;  ///< main loops (compute_phase / compute_edge)
   double wait_s = 0.0;     ///< ownership tokens + node-read readiness
-  double fold_s = 0.0;     ///< second loop + node-read refresh
+  double fold_s = 0.0;     ///< second loop only
+  double refresh_s = 0.0;  ///< completed portions: node-read refresh,
+                           ///< X re-zero and readiness publication
 };
 
 /// The native executor's stage recorder.

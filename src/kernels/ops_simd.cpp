@@ -27,7 +27,46 @@ namespace earthred::kernels::ops {
 namespace {
 
 // ---------------------------------------------------------------------
-// Scalar tier: the original fused compute_phase loops, verbatim.
+// Per-edge arithmetic, shared by the scalar tier and the AVX-512 tier's
+// remainder loops.
+// ---------------------------------------------------------------------
+
+inline void euler_flux(const EulerArgs& a, std::uint32_t e, double* vflux,
+                       double* pflux) {
+  const std::uint32_t n1 = a.edges[e].a;
+  const std::uint32_t n2 = a.edges[e].b;
+  const double c = a.coef[e];
+  const double v1 = a.vel[n1];
+  const double v2 = a.vel[n2];
+  const double p1 = a.pre[n1];
+  const double p2 = a.pre[n2];
+  *vflux = c * (p1 - p2);
+  *pflux = c * 0.5 * (v1 + v2) + 0.25 * c * (p1 - p2);
+}
+
+inline void moldyn_force(const MoldynArgs& a, std::uint32_t e, double* f0,
+                         double* f1, double* f2) {
+  const std::uint32_t m1 = a.edges[e].a;
+  const std::uint32_t m2 = a.edges[e].b;
+  const double d0 = a.px[m1] - a.px[m2];
+  const double d1 = a.py[m1] - a.py[m2];
+  const double d2 = a.pz[m1] - a.pz[m2];
+  const double r2 = d0 * d0 + d1 * d1 + d2 * d2 + 0.25;
+  const double inv2 = 1.0 / r2;
+  const double inv6 = inv2 * inv2 * inv2;
+  const double mag = 24.0 * inv2 * inv6 * (2.0 * inv6 - 1.0);
+  const double clamped = std::clamp(mag, -32.0, 32.0);
+  *f0 = clamped * d0;
+  *f1 = clamped * d1;
+  *f2 = clamped * d2;
+}
+
+// ---------------------------------------------------------------------
+// Scalar tier: fused per-edge loops that scatter through the
+// ReductionView, selecting element or slot per access. Resolving each
+// block's addresses first, as the AVX-512 tier does, measured slower
+// here: without vector lanes the resolve is one more pass over the block
+// and the select it replaces is a well-predicted branch.
 // ---------------------------------------------------------------------
 
 void fig1_scalar(const Fig1Args& a) {
@@ -40,16 +79,9 @@ void fig1_scalar(const Fig1Args& a) {
 
 void euler_scalar(const EulerArgs& a) {
   for (std::size_t j = 0; j < a.n; ++j) {
-    const std::uint32_t e = a.eg[j];
-    const std::uint32_t n1 = a.edges[e].a;
-    const std::uint32_t n2 = a.edges[e].b;
-    const double c = a.coef[e];
-    const double v1 = a.vel[n1];
-    const double v2 = a.vel[n2];
-    const double p1 = a.pre[n1];
-    const double p2 = a.pre[n2];
-    const double vflux = c * (p1 - p2);
-    const double pflux = c * 0.5 * (v1 + v2) + 0.25 * c * (p1 - p2);
+    double vflux;
+    double pflux;
+    euler_flux(a, a.eg[j], &vflux, &pflux);
     a.dvel[a.ia1[j]] += vflux;
     a.dvel[a.ia2[j]] -= vflux;
     a.dpre[a.ia1[j]] += pflux;
@@ -59,20 +91,10 @@ void euler_scalar(const EulerArgs& a) {
 
 void moldyn_scalar(const MoldynArgs& a) {
   for (std::size_t j = 0; j < a.n; ++j) {
-    const std::uint32_t e = a.eg[j];
-    const std::uint32_t m1 = a.edges[e].a;
-    const std::uint32_t m2 = a.edges[e].b;
-    const double d0 = a.px[m1] - a.px[m2];
-    const double d1 = a.py[m1] - a.py[m2];
-    const double d2 = a.pz[m1] - a.pz[m2];
-    const double r2 = d0 * d0 + d1 * d1 + d2 * d2 + 0.25;
-    const double inv2 = 1.0 / r2;
-    const double inv6 = inv2 * inv2 * inv2;
-    const double mag = 24.0 * inv2 * inv6 * (2.0 * inv6 - 1.0);
-    const double clamped = std::clamp(mag, -32.0, 32.0);
-    const double f0 = clamped * d0;
-    const double f1 = clamped * d1;
-    const double f2 = clamped * d2;
+    double f0;
+    double f1;
+    double f2;
+    moldyn_force(a, a.eg[j], &f0, &f1, &f2);
     a.fx[a.ia1[j]] += f0;
     a.fx[a.ia2[j]] -= f0;
     a.fy[a.ia1[j]] += f1;
@@ -224,18 +246,7 @@ ER_TGT_AVX512 void euler_avx512(const EulerArgs& a) {
       _mm512_storeu_pd(vbuf + j, vflux);
       _mm512_storeu_pd(pbuf + j, pflux);
     }
-    for (; j < n; ++j) {
-      const std::uint32_t e = eg[j];
-      const std::uint32_t n1 = a.edges[e].a;
-      const std::uint32_t n2 = a.edges[e].b;
-      const double c = a.coef[e];
-      const double v1 = a.vel[n1];
-      const double v2 = a.vel[n2];
-      const double p1 = a.pre[n1];
-      const double p2 = a.pre[n2];
-      vbuf[j] = c * (p1 - p2);
-      pbuf[j] = c * 0.5 * (v1 + v2) + 0.25 * c * (p1 - p2);
-    }
+    for (; j < n; ++j) euler_flux(a, eg[j], vbuf + j, pbuf + j);
     resolve_block(a.dvel, a.ia1 + base, n, x1);
     resolve_block(a.dvel, a.ia2 + base, n, x2);
     scatter_add_sub(x1, x2, vbuf, n);
@@ -291,22 +302,8 @@ ER_TGT_AVX512 void moldyn_avx512(const MoldynArgs& a) {
       _mm512_storeu_pd(f1buf + j, _mm512_mul_pd(clamped, d1));
       _mm512_storeu_pd(f2buf + j, _mm512_mul_pd(clamped, d2));
     }
-    for (; j < n; ++j) {
-      const std::uint32_t e = eg[j];
-      const std::uint32_t m1 = a.edges[e].a;
-      const std::uint32_t m2 = a.edges[e].b;
-      const double d0 = a.px[m1] - a.px[m2];
-      const double d1 = a.py[m1] - a.py[m2];
-      const double d2 = a.pz[m1] - a.pz[m2];
-      const double r2 = d0 * d0 + d1 * d1 + d2 * d2 + 0.25;
-      const double inv2 = 1.0 / r2;
-      const double inv6 = inv2 * inv2 * inv2;
-      const double mag = 24.0 * inv2 * inv6 * (2.0 * inv6 - 1.0);
-      const double clamped = std::clamp(mag, -32.0, 32.0);
-      f0buf[j] = clamped * d0;
-      f1buf[j] = clamped * d1;
-      f2buf[j] = clamped * d2;
-    }
+    for (; j < n; ++j)
+      moldyn_force(a, eg[j], f0buf + j, f1buf + j, f2buf + j);
     const core::ReductionView* views[3] = {&a.fx, &a.fy, &a.fz};
     const double* bufs[3] = {f0buf, f1buf, f2buf};
     for (int d = 0; d < 3; ++d) {

@@ -12,9 +12,10 @@
 // lanes (IEEE-exact per lane, no FMA contraction — this file is built
 // with -ffp-contract=off), while the scatter accumulation into reduction
 // arrays is always scalar and j-ascending, because accumulation *order*
-// is the contract. Reduction outputs are core::ReductionView, so each
-// scatter selects between the element array and the worker's buffer
-// slots per index; gathers read plain arrays.
+// is the contract. Reduction outputs are core::ReductionView: the AVX-512
+// tier resolves each block's element-or-slot addresses in vector lanes
+// ahead of the scatter, while the scalar tier selects per access (a
+// resolve pass measured slower there). Gathers read plain arrays.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "support/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "support/check.hpp"
@@ -26,6 +27,14 @@ Options::Options(int argc, const char* const* argv) {
 
 bool Options::has(const std::string& key) const {
   return keyed_.count(key) != 0;
+}
+
+void Options::reject_unknown(std::string_view command,
+                             std::span<const std::string_view> known) const {
+  for (const auto& [key, value] : keyed_)
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw check_error("E-CLI-FLAG: unknown flag '--" + key + "' for " +
+                        std::string(command));
 }
 
 std::string Options::get(const std::string& key,

@@ -1,8 +1,8 @@
 // Minimal command-line option parsing for examples and benches.
 //
 // Accepts `--key=value` and bare `--flag` forms; positional arguments are
-// collected in order. Unknown keys are retained so callers can reject or
-// ignore them explicitly. (The ambiguous `--key value` form is not
+// collected in order. Unknown keys are retained so callers can reject them
+// (reject_unknown) or ignore them explicitly. (The ambiguous `--key value` form is not
 // supported: it cannot be distinguished from a flag followed by a
 // positional argument.)
 #pragma once
@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace earthred {
@@ -41,6 +43,12 @@ class Options {
   /// Comma-separated integer list, e.g. --procs=1,2,4,8.
   std::vector<std::int64_t> get_int_list(const std::string& key,
                                          std::vector<std::int64_t> fallback) const;
+
+  /// Throws check_error "E-CLI-FLAG: unknown flag '--key' for <command>"
+  /// naming the first key (in sorted order) that is not in `known`, so a
+  /// typo or a retired flag fails instead of being silently ignored.
+  void reject_unknown(std::string_view command,
+                      std::span<const std::string_view> known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::map<std::string, std::string>& keyed() const { return keyed_; }

@@ -4,13 +4,20 @@
 // single hot node) would surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classic_engine.hpp"
 #include "core/native_engine.hpp"
 #include "core/reduction_engine.hpp"
 #include "core/sequential.hpp"
+#include "kernels/euler.hpp"
 #include "kernels/fig1.hpp"
+#include "kernels/moldyn.hpp"
 #include "support/check.hpp"
 
 namespace earthred {
@@ -49,6 +56,56 @@ mesh::Mesh skew_phase_mesh(std::uint32_t n, std::uint32_t edges) {
   for (std::uint32_t i = 0; i < edges; ++i)
     m.edges.push_back({n - 2, n - 1});
   return m;
+}
+
+mesh::Mesh with_helix_coords(mesh::Mesh m) {
+  // Distinct positions for the kernels that need coordinates (euler's
+  // edge coefficients, moldyn's positions).
+  m.coords.resize(m.num_nodes);
+  for (std::uint32_t v = 0; v < m.num_nodes; ++v) {
+    const double t = 0.37 * v;
+    m.coords[v] = {0.5 + 0.4 * std::cos(t), 0.5 + 0.4 * std::sin(t),
+                   0.001 * v};
+  }
+  return m;
+}
+
+/// Largest number of buffer slots that fold into one element in one
+/// phase of one processor's second loop.
+std::size_t max_folds_into_one_element(const core::ExecutionPlan& plan) {
+  std::size_t most = 0;
+  for (const inspector::InspectorResult& insp : plan.insp)
+    for (const inspector::PhaseSchedule& phase : insp.phases) {
+      std::map<std::uint32_t, std::size_t> per_elem;
+      for (const std::uint32_t d : phase.copy_dst)
+        most = std::max(most, ++per_elem[d]);
+    }
+  return most;
+}
+
+void expect_identical(const core::NativeResult& a, const core::NativeResult& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.reduction, b.reduction) << what;
+  ASSERT_EQ(a.node_read, b.node_read) << what;
+}
+
+/// Runs one plan natively batched, per-edge and batched under first-touch
+/// placement, and requires the three results to agree bit for bit.
+/// Returns the batched result.
+core::NativeResult native_paths_agree(const core::PhasedKernel& kernel,
+                                      const core::ExecutionPlan& plan,
+                                      const std::string& what) {
+  core::SweepOptions sopt;
+  sopt.sweeps = 3;
+  core::NativeResult batched = core::run_native_plan(kernel, plan, sopt);
+  sopt.batch = false;
+  const core::NativeResult per_edge = core::run_native_plan(kernel, plan, sopt);
+  sopt.batch = true;
+  sopt.affinity.first_touch = true;
+  const core::NativeResult touched = core::run_native_plan(kernel, plan, sopt);
+  expect_identical(batched, per_edge, what + " per-edge");
+  expect_identical(batched, touched, what + " first_touch");
+  return batched;
 }
 
 void check_all_engines(const mesh::Mesh& mesh, std::uint32_t procs,
@@ -121,6 +178,65 @@ TEST(Pathological, SkewedPhasesAllEnginesAgree) {
   // One phase carries everything; the rest are empty — exercises empty
   // phase fibers and imbalance handling.
   check_all_engines(skew_phase_mesh(64, 300), 4, 2);
+}
+
+TEST(Pathological, ManySlotsFoldIntoOneElementAcrossArrays) {
+  // The hub and the repeated pair collect many buffer slots into one
+  // element in one phase; euler (two reduction arrays) and moldyn (three)
+  // fold every array of each such entry.
+  const mesh::Mesh meshes[] = {with_helix_coords(star_mesh(63)),
+                               with_helix_coords(parallel_edges_mesh(200))};
+  for (const mesh::Mesh& m : meshes) {
+    const kernels::EulerKernel euler(m);
+    const kernels::MoldynKernel moldyn(m);
+    for (const core::PhasedKernel* kernel :
+         {static_cast<const core::PhasedKernel*>(&euler),
+          static_cast<const core::PhasedKernel*>(&moldyn)}) {
+      for (const auto& [procs, k] : {std::pair{4u, 2u}, std::pair{3u, 1u}}) {
+        core::PlanOptions popt;
+        popt.num_procs = procs;
+        popt.k = k;
+        const core::ExecutionPlan plan =
+            core::build_execution_plan(*kernel, popt);
+        ASSERT_GT(max_folds_into_one_element(plan), 1u);
+        const std::string what =
+            "RA=" + std::to_string(kernel->shape().num_reduction_arrays) +
+            " nodes=" + std::to_string(m.num_nodes) +
+            " P=" + std::to_string(procs);
+        const core::NativeResult nat = native_paths_agree(*kernel, plan, what);
+        // The simulator folds the same slots in the same order.
+        core::RotationOptions ropt;
+        ropt.num_procs = procs;
+        ropt.k = k;
+        ropt.sweeps = 3;
+        ropt.machine.max_events = 50'000'000;
+        const core::RunResult rot = core::run_rotation_engine(*kernel, ropt);
+        ASSERT_EQ(nat.reduction, rot.reduction) << what << " vs simulator";
+      }
+    }
+  }
+}
+
+TEST(Pathological, LongChainCrossesTheHugePageThreshold) {
+  // 600K nodes: X is 4.8 MB, past the executor's 4 MiB huge-page advice
+  // threshold, so the advised allocation (and first-touch's page release
+  // on it) runs here. fig1's integer values make every summation order
+  // exact, so the native result must equal the sequential reference.
+  constexpr std::uint32_t kNodes = 600'000;
+  ASSERT_GE(kNodes * sizeof(double), std::size_t{4} << 20);
+  const auto kernel =
+      kernels::Fig1Kernel::with_integer_values(chain_mesh(kNodes));
+  core::PlanOptions popt;
+  popt.num_procs = 4;
+  popt.k = 2;
+  const core::ExecutionPlan plan = core::build_execution_plan(kernel, popt);
+  const core::NativeResult nat = native_paths_agree(kernel, plan, "chain");
+
+  core::SequentialOptions sopt;
+  sopt.sweeps = 3;
+  sopt.machine.max_events = 50'000'000;
+  const core::RunResult seq = core::run_sequential_kernel(kernel, sopt);
+  ASSERT_EQ(nat.reduction[0], seq.reduction[0]);
 }
 
 TEST(Pathological, EmptyEdgeListRuns) {

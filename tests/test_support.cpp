@@ -268,6 +268,31 @@ TEST(Options, IntListAndErrors) {
   EXPECT_EQ(fallback[0], 5);
 }
 
+TEST(Options, RejectUnknownNamesTheFirstUnknownFlag) {
+  const std::string_view known[] = {"kernel", "engine", "no-batch"};
+  const char* ok[] = {"prog", "--kernel=fig1", "--no-batch", "positional"};
+  EXPECT_NO_THROW(Options(4, ok).reject_unknown("earthred run", known));
+  EXPECT_NO_THROW(Options(1, ok).reject_unknown("earthred run", known));
+
+  const char* bad[] = {"prog", "--kernel=fig1", "--no-such-flag",
+                       "--zz-typo=3"};
+  try {
+    Options(4, bad).reject_unknown("earthred run", known);
+    FAIL() << "unknown flag accepted";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("E-CLI-FLAG"), std::string::npos) << what;
+    EXPECT_NE(what.find("'--no-such-flag'"), std::string::npos) << what;
+    EXPECT_NE(what.find("earthred run"), std::string::npos) << what;
+  }
+  // A known name with a value, or a value-less spelling of one, is fine;
+  // nothing is known to an empty list.
+  const char* valued[] = {"prog", "--engine"};
+  EXPECT_NO_THROW(Options(2, valued).reject_unknown("earthred run", known));
+  EXPECT_THROW(Options(2, valued).reject_unknown("earthred version", {}),
+               check_error);
+}
+
 // ---- CPU feature detection: what the batch loops dispatch on ----------
 
 TEST(CpuFeatures, DetectedFlagsAreInternallyConsistent) {

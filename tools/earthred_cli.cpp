@@ -114,6 +114,9 @@
 // compiled, bound to a synthesized environment (nodes=N edges=E seed=S
 // keys size it), and submitted as one job per fissioned loop.
 //
+// Every verb rejects a --flag it does not read with E-CLI-FLAG naming it
+// (exit 1), so a typo or a retired flag is never silently ignored.
+//
 // Exit status: 0 on success, 1 on usage/data errors (message on stderr);
 // batch/serve exit 1 if any job failed or was rejected (malformed job
 // lines are reported as coded rows, they do not abort the batch).
@@ -125,13 +128,17 @@
 // second signal exits 3, so scripts can tell a forced shutdown from a
 // clean (even if partly failed) drain.
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "compiler/check.hpp"
 #include "compiler/codegen.hpp"
@@ -379,12 +386,12 @@ int cmd_run(const Options& opt) {
     t.print(std::cout);
     // The stage recorder: where each worker's wall time went.
     Table st("stages (seconds per worker)");
-    st.set_header({"worker", "setup", "compute", "wait", "fold"});
+    st.set_header({"worker", "setup", "compute", "wait", "fold", "refresh"});
     for (std::size_t w = 0; w < r.profile.workers.size(); ++w) {
       const core::WorkerStages& ws = r.profile.workers[w];
       st.add_row({std::to_string(w), fmt_f(ws.setup_s, 4),
                   fmt_f(ws.compute_s, 4), fmt_f(ws.wait_s, 4),
-                  fmt_f(ws.fold_s, 4)});
+                  fmt_f(ws.fold_s, 4), fmt_f(ws.refresh_s, 4)});
     }
     st.print(std::cout);
     return 0;
@@ -631,6 +638,13 @@ service::JobScheduler::Config scheduler_config(const Options& opt) {
 }
 
 int run_service(std::istream& jobs_in, const Options& opt) {
+  // Resolution count, bumped by each job's completion notification.
+  // Declared before the scheduler so it outlives every worker thread.
+  struct Resolved {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t count = 0;
+  } resolved;
   service::JobScheduler sched(scheduler_config(opt));
   service::JobBuilder builder;  // local front end: file IO allowed
 
@@ -655,18 +669,34 @@ int run_service(std::istream& jobs_in, const Options& opt) {
             {"line " + std::to_string(lineno), b.code, b.detail});
       continue;
     }
-    for (service::JobRequest& req : b.requests)
+    for (service::JobRequest& req : b.requests) {
+      req.on_resolved = [&resolved] {
+        {
+          const std::lock_guard<std::mutex> lock(resolved.mutex);
+          ++resolved.count;
+        }
+        resolved.cv.notify_one();
+      };
       handles.push_back(sched.submit(std::move(req)));
+    }
   }
 
-  // Signal-aware wait: poll readiness instead of blocking, so the first
-  // signal can start a drain (in-flight jobs finish, expired queued jobs
-  // reject at pickup) and a second can abort what is still queued.
+  // Signal-aware wait: woken by each job's resolution, and at least every
+  // 50 ms to look at the signal counter (a signal handler cannot notify a
+  // condition variable), so the first signal can start a drain (in-flight
+  // jobs finish, expired queued jobs reject at pickup) and a second can
+  // abort what is still queued.
   bool forced = false;
   int signals_seen = 0;
-  std::size_t unresolved = handles.size();
-  std::vector<bool> resolved(handles.size(), false);
-  while (unresolved > 0) {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(resolved.mutex);
+      resolved.cv.wait_for(lock, std::chrono::milliseconds(50), [&] {
+        return resolved.count == handles.size() ||
+               service::shutdown_signal_count() != signals_seen;
+      });
+      if (resolved.count == handles.size()) break;
+    }
     const int sigs = service::shutdown_signal_count();
     if (sigs != signals_seen) {
       if (signals_seen == 0 && sigs >= 1) {
@@ -682,15 +712,6 @@ int run_service(std::istream& jobs_in, const Options& opt) {
       }
       signals_seen = sigs;
     }
-    bool progressed = false;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (resolved[i] || !handles[i].ready()) continue;
-      resolved[i] = true;
-      --unresolved;
-      progressed = true;
-    }
-    if (unresolved > 0 && !progressed)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
   // Every handle resolves — rejected jobs report their reason here rather
@@ -1266,7 +1287,7 @@ int cmd_fleet(const Options& opt) {
   return bad == 0 ? 0 : 1;
 }
 
-int cmd_version() {
+int cmd_version(const Options&) {
   std::printf("earthred (irregular-reduction service)\n");
   // The batch loops pick their tier from CPUID: AVX-512 when the host
   // reports AVX-512F (and the OS saves ZMM state), scalar otherwise.
@@ -1277,24 +1298,65 @@ int cmd_version() {
   return 0;
 }
 
+// ---- dispatch: each verb and the flags it reads -------------------------
+
+using Flags = std::vector<std::string_view>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+struct Verb {
+  std::string_view name;
+  int (*run)(const Options&);
+  Flags flags;  ///< every --flag the verb reads; any other is E-CLI-FLAG
+};
+
+const std::vector<Verb>& verbs() {
+  const Flags mesh = {"preset", "mesh", "nodes", "edges", "seed"};
+  const Flags plan = {"kernel", "procs", "k", "dist"};
+  const Flags scheduler = {"workers",  "queue",      "deadline", "cache-mb",
+                           "no-cache", "plan-store", "json",     "quiet"};
+  const Flags listener = {"listen", "host", "max-conns", "drain-grace"};
+  const Flags client = {"connect", "timeout-ms", "retries"};
+  const Flags shards = {"shards", "shard-file"};
+  static const std::vector<Verb> table = {
+      {"gen-mesh", cmd_gen_mesh, mesh + Flags{"out"}},
+      {"gen-matrix", cmd_gen_matrix, {"class", "out"}},
+      {"info", cmd_info, mesh},
+      {"run", cmd_run,
+       mesh + plan +
+           Flags{"sweeps", "engine", "check", "gantt", "batch", "no-batch",
+                 "pin", "fault-drop", "fault-corrupt", "fault-dup",
+                 "fault-delay", "fault-delay-cycles", "fault-seed",
+                 "fault-dead-link", "reliable"}},
+      {"compile", cmd_compile, {"file", "optimize", "emit"}},
+      {"check", cmd_check, {"file", "explain", "Werror", "json"}},
+      {"batch", cmd_batch, scheduler + Flags{"jobs"}},
+      {"serve", cmd_serve, scheduler + listener + Flags{"max-inflight"}},
+      {"submit", cmd_submit, client + Flags{"job", "jobs"}},
+      {"ping", cmd_ping, client},
+      {"route", cmd_route,
+       listener + client + shards + Flags{"shard-inflight", "json"}},
+      {"fleet", cmd_fleet, client + shards},
+      {"plan", cmd_plan, mesh + plan + Flags{"store", "bc", "dedup"}},
+      {"version", cmd_version, {}},
+  };
+  return table;
+}
+
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  if (cmd == "version" || cmd == "--version") return cmd_version();
-  const Options opt(argc - 1, argv + 1);
-  if (cmd == "gen-mesh") return cmd_gen_mesh(opt);
-  if (cmd == "gen-matrix") return cmd_gen_matrix(opt);
-  if (cmd == "info") return cmd_info(opt);
-  if (cmd == "run") return cmd_run(opt);
-  if (cmd == "compile") return cmd_compile(opt);
-  if (cmd == "check") return cmd_check(opt);
-  if (cmd == "batch") return cmd_batch(opt);
-  if (cmd == "serve") return cmd_serve(opt);
-  if (cmd == "submit") return cmd_submit(opt);
-  if (cmd == "ping") return cmd_ping(opt);
-  if (cmd == "route") return cmd_route(opt);
-  if (cmd == "fleet") return cmd_fleet(opt);
-  if (cmd == "plan") return cmd_plan(opt);
+  const std::string cmd = argv[1] == std::string_view("--version")
+                              ? "version"
+                              : argv[1];
+  for (const Verb& verb : verbs()) {
+    if (verb.name != cmd) continue;
+    const Options opt(argc - 1, argv + 1);
+    opt.reject_unknown("earthred " + cmd, verb.flags);
+    return verb.run(opt);
+  }
   return usage();
 }
 
