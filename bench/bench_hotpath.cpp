@@ -7,9 +7,13 @@
 // SweepOptions::batch = false (per-edge compute_edge calls with a
 // heap-backed `redirected` scatter copy) and once with batch = true (one
 // compute_phase call per phase streaming the flattened indirection
-// block). Reports edges/second for both and the speedup; also verifies
+// block, and one fused refresh_nodes pass per completed portion where
+// the per-edge path copies, runs update_nodes and re-zeroes). Reports
+// edges/second for both, the speedup, and each executor's node-read
+// refresh summed over workers (NativeProfile refresh_s); also verifies
 // the two executors produce bit-identical reduction and node-read arrays
-// (the batch path performs the same FP operations in the same order).
+// (the batch loops and the batched refresh perform the same FP
+// operations in the same order as compute_edge and update_nodes).
 //
 // Part 2 (plan build): times build_execution_plan, which runs the
 // processors on min(P, hardware threads) host threads at 2^18 edges or
@@ -132,14 +136,21 @@ core::ExecutionPlan serial_reference_plan(const core::PhasedKernel& kernel,
   return plan;
 }
 
-/// Best-of-reps wall seconds for one executor mode.
+/// Best-of-reps wall seconds for one executor mode; `refresh_s` gets the
+/// best run's refresh seconds summed over workers.
 double best_run(const core::PhasedKernel& kernel,
                 const core::ExecutionPlan& plan, core::SweepOptions sopt,
-                std::uint32_t reps, core::NativeResult* out) {
+                std::uint32_t reps, core::NativeResult* out,
+                double* refresh_s) {
   double best = 0.0;
   for (std::uint32_t r = 0; r < reps; ++r) {
     core::NativeResult res = core::run_native_plan(kernel, plan, sopt);
-    if (r == 0 || res.wall_seconds < best) best = res.wall_seconds;
+    if (r == 0 || res.wall_seconds < best) {
+      best = res.wall_seconds;
+      *refresh_s = 0.0;
+      for (const core::WorkerStages& w : res.profile.workers)
+        *refresh_s += w.refresh_s;
+    }
     if (out && r == 0) *out = std::move(res);
   }
   return best;
@@ -163,7 +174,8 @@ int run(const Options& opt) {
           ", sweeps=" + std::to_string(sweeps) + ", best of " +
           std::to_string(reps) + ")");
   t.set_header({"kernel", "edges", "per-edge Medges/s", "batched Medges/s",
-                "speedup", "bit-identical"});
+                "speedup", "per-edge refresh ms", "batched refresh ms",
+                "bit-identical"});
 
   bool all_identical = true;
   double best_speedup = 0.0;
@@ -179,10 +191,13 @@ int run(const Options& opt) {
     sopt.sweeps = sweeps;
 
     core::NativeResult edge_res, batch_res;
+    double edge_refresh_s = 0.0, batch_refresh_s = 0.0;
     sopt.batch = false;
-    const double edge_s = best_run(*w.kernel, plan, sopt, reps, &edge_res);
+    const double edge_s =
+        best_run(*w.kernel, plan, sopt, reps, &edge_res, &edge_refresh_s);
     sopt.batch = true;
-    const double batch_s = best_run(*w.kernel, plan, sopt, reps, &batch_res);
+    const double batch_s =
+        best_run(*w.kernel, plan, sopt, reps, &batch_res, &batch_refresh_s);
 
     const bool identical =
         same_arrays(edge_res.reduction, batch_res.reduction) &&
@@ -199,7 +214,8 @@ int run(const Options& opt) {
 
     t.add_row({w.name, std::to_string(w.num_edges),
                fmt_f(edge_rate / 1e6, 2), fmt_f(batch_rate / 1e6, 2),
-               fmt_f(speedup, 2) + "x", identical ? "yes" : "NO"});
+               fmt_f(speedup, 2) + "x", fmt_f(edge_refresh_s * 1e3, 3),
+               fmt_f(batch_refresh_s * 1e3, 3), identical ? "yes" : "NO"});
 
     JsonWriter jw;
     jw.field("kernel", w.name)
@@ -209,6 +225,8 @@ int run(const Options& opt) {
         .field("per_edge_edges_per_s", edge_rate)
         .field("batched_edges_per_s", batch_rate)
         .field("speedup", speedup)
+        .field("per_edge_refresh_seconds", edge_refresh_s)
+        .field("batched_refresh_seconds", batch_refresh_s)
         .field("bit_identical", identical);
     exec_json.push_back(jw.str());
   }

@@ -16,6 +16,7 @@
 // and the node read arrays.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -64,7 +65,7 @@ struct ProcArrays {
   /// reduction[a][i]: element or buffer slot i of reduction array a.
   std::vector<ReductionView> reduction;
   /// node_read[a][v]: node-indexed arrays read per edge (written only by
-  /// update_nodes).
+  /// update_nodes and refresh_nodes).
   std::vector<double*> node_read;
 };
 
@@ -157,6 +158,38 @@ class PhasedKernel {
   virtual void update_nodes(earth::FiberContext& ctx, const CostTags& tags,
                             std::uint32_t begin, std::uint32_t end,
                             std::uint32_t base, ProcArrays& arrays) const = 0;
+
+  /// Native refresh entry point: the sweep-final node update of the
+  /// completed portion [begin, end), fused with the executor's parity copy
+  /// and X re-zero. For every node-read array a and v in [begin, end) it
+  /// writes next[a][v] = cur[a][v] advanced by the completed reductions
+  /// x[*][v], with exactly update_nodes' floating-point operations in the
+  /// same order (bit-identical); when `zero_x` is set it then zeroes
+  /// x[b][v] for every reduction array b. Nothing outside [begin, end) is
+  /// touched. `cur` and `next` hold num_node_read_arrays pointers to
+  /// distinct node-indexed arrays; `x` holds num_reduction_arrays pointers
+  /// to element-indexed arrays (no buffer slots).
+  ///
+  /// The default copies cur into next, runs update_nodes over views whose
+  /// node-read arrays are `next` and whose reduction arrays are `x`, then
+  /// zeroes x — so kernels that don't override it (wrappers, compiled
+  /// ones) stay correct. Concrete kernels override it with one fused pass
+  /// sharing update_nodes' per-node arithmetic; only the native executor
+  /// calls it, while the cycle-charging engines keep calling update_nodes.
+  virtual void refresh_nodes(earth::FiberContext& ctx, const CostTags& tags,
+                             std::uint32_t begin, std::uint32_t end,
+                             std::span<const double* const> cur,
+                             std::span<double* const> next,
+                             std::span<double* const> x, bool zero_x) const {
+    ProcArrays arrays;
+    for (double* a : x) arrays.reduction.push_back({a, nullptr, end});
+    arrays.node_read.assign(next.begin(), next.end());
+    for (std::size_t a = 0; a < next.size(); ++a)
+      std::copy(cur[a] + begin, cur[a] + end, next[a] + begin);
+    update_nodes(ctx, tags, begin, end, begin, arrays);
+    if (zero_x)
+      for (double* a : x) std::fill(a + begin, a + end, 0.0);
+  }
 
   /// Batch entry point: executes every iteration of `phase` in order,
   /// producing results bit-identical to the equivalent sequence of

@@ -430,6 +430,12 @@ NativeResult run_phased(const PhasedKernel& kernel,
     for (std::vector<double>& a : parity) a = zeroed_run_array(N);
   }
   kernel.init_node_arrays(nodes[0]);
+  // Raw pointers for the batched refresh: X's arrays and each parity's.
+  std::vector<double*> x_ptr(RA);
+  for (std::uint32_t a = 0; a < RA; ++a) x_ptr[a] = X[a].data();
+  std::vector<double*> node_ptr[2];
+  for (std::uint32_t par = 0; par < 2; ++par)
+    for (std::vector<double>& a : nodes[par]) node_ptr[par].push_back(a.data());
   if (first_touch) {
     for (std::vector<double>& a : X) release_pages(a.data(), a.size());
     for (std::vector<double>& a : nodes[1])
@@ -528,13 +534,13 @@ NativeResult run_phased(const PhasedKernel& kernel,
       const std::size_t B = insp.local_array_size - N;
       std::vector<double> slots = zeroed_run_array(B * RA);
       // ps: the views compute and the second loop use (reads nodes[s % 2]);
-      // fin: the same reduction views with the refresh target for
-      // update_nodes (nodes[(s + 1) % 2]).
+      // fin, on the per-edge path only: the same reduction views with the
+      // refresh target for update_nodes (nodes[(s + 1) % 2]).
       ProcArrays ps;
       for (std::uint32_t a = 0; a < RA; ++a)
         ps.reduction.push_back({X[a].data(), slots.data() + a * B, N});
-      ps.node_read.resize(NA);
-      ProcArrays fin = ps;
+      ProcArrays fin;
+      if (!opt.batch) fin = ps;
       std::vector<std::uint32_t> redirected(shape.num_refs);
       if (first_touch) {
         for (std::uint32_t ph = 0; ph < k; ++ph) {
@@ -549,10 +555,8 @@ NativeResult run_phased(const PhasedKernel& kernel,
 
       for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
         const std::uint32_t cur = sweep % 2;
-        for (std::uint32_t a = 0; a < NA; ++a) {
-          ps.node_read[a] = nodes[cur][a].data();
-          fin.node_read[a] = nodes[cur ^ 1][a].data();
-        }
+        ps.node_read = node_ptr[cur];
+        if (!opt.batch) fin.node_read = node_ptr[cur ^ 1];
         for (std::uint32_t ph = 0; ph < kp; ++ph) {
           const std::uint32_t pid = sched.owned_portion(p, ph);
           const std::uint32_t begin = sched.portion_begin(pid);
@@ -646,24 +650,31 @@ NativeResult run_phased(const PhasedKernel& kernel,
                             opt.lose_forward.sweep == sweep;
 
           // Portion complete: refresh its node-read values into the other
-          // parity, publish them, and re-zero X[pid] for the next sweep
-          // (the last sweep leaves X as the result).
+          // parity, re-zero X[pid] for the next sweep (the last sweep
+          // leaves X as the result) and publish the portion. The batched
+          // path makes one refresh_nodes pass; the per-edge reference path
+          // keeps the copy, update_nodes and fill it must match.
           if (sched.last_owning_phase(pid) == ph) {
-            for (std::uint32_t a = 0; a < NA; ++a)
-              std::copy(nodes[cur][a].begin() + begin,
-                        nodes[cur][a].begin() + end,
-                        nodes[cur ^ 1][a].begin() + begin);
-            kernel.update_nodes(ctx, tags, begin, end, begin, fin);
-            if (sweep + 1 < sweeps) {
-              for (std::uint32_t a = 0; a < RA; ++a)
-                std::fill(X[a].begin() + begin, X[a].begin() + end, 0.0);
-              if (NA > 0 && !lost) {
-                {
-                  const std::lock_guard<std::mutex> lock(ready_mutex);
-                  ready[pid].store(sweep + 1, std::memory_order_release);
-                }
-                ready_cv.notify_all();
+            const bool zero_x = sweep + 1 < sweeps;
+            if (opt.batch) {
+              kernel.refresh_nodes(ctx, tags, begin, end, node_ptr[cur],
+                                   node_ptr[cur ^ 1], x_ptr, zero_x);
+            } else {
+              for (std::uint32_t a = 0; a < NA; ++a)
+                std::copy(nodes[cur][a].begin() + begin,
+                          nodes[cur][a].begin() + end,
+                          nodes[cur ^ 1][a].begin() + begin);
+              kernel.update_nodes(ctx, tags, begin, end, begin, fin);
+              if (zero_x)
+                for (std::uint32_t a = 0; a < RA; ++a)
+                  std::fill(X[a].begin() + begin, X[a].begin() + end, 0.0);
+            }
+            if (zero_x && NA > 0 && !lost) {
+              {
+                const std::lock_guard<std::mutex> lock(ready_mutex);
+                ready[pid].store(sweep + 1, std::memory_order_release);
               }
+              ready_cv.notify_all();
             }
           }
           t_mark = Clock::now();

@@ -32,12 +32,17 @@
 //     element/slot select unnecessary there, and each element still sums
 //     its slots in j order, so the result matches an entry-major fold.
 //   * one array per node-read array, double-buffered by sweep parity:
-//     sweep s reads nodes[s % 2]; a portion's final owner writes
-//     nodes[(s + 1) % 2][pid] = nodes[s % 2][pid], runs update_nodes on
-//     it and publishes the portion's readiness. Every worker waits for
-//     all portions to be ready before its first phase of the next sweep,
-//     which covers both hazards: reading a parity before it is complete,
-//     and overwriting the parity a slower worker still reads.
+//     sweep s reads nodes[s % 2]; a portion's final owner writes the
+//     refreshed nodes[(s + 1) % 2][pid], re-zeroes X[pid] (except in the
+//     last sweep) and publishes the portion's readiness. On the batched
+//     path that refresh is one PhasedKernel::refresh_nodes pass (euler
+//     and moldyn fuse read, update, write and re-zero into one loop); the
+//     per-edge reference path copies nodes[s % 2][pid] across, runs
+//     update_nodes on it and fills X[pid], and the two are bit-identical.
+//     Every worker waits for all portions to be ready before its first
+//     phase of the next sweep, which covers both hazards: reading a
+//     parity before it is complete, and overwriting the parity a slower
+//     worker still reads.
 //   * the last sweep moves X and the final parity into NativeResult.
 //
 // Run state (X, both node-read parities, each worker's slot rows) comes
@@ -215,7 +220,9 @@ struct SweepOptions {
   /// Execute each phase through PhasedKernel::compute_phase — one batched
   /// call streaming the flattened indirection block — instead of a
   /// per-edge virtual compute_edge call with a heap-backed `redirected`
-  /// scatter copy. Results are bit-identical either way (the batch loops
+  /// scatter copy, and refresh each completed portion through one
+  /// refresh_nodes pass instead of copy + update_nodes + fill. Results
+  /// are bit-identical either way (the batch loops and the refresh
   /// perform the same floating-point operations in the same order;
   /// tests/test_batch_equivalence.cpp proves it); off reproduces the
   /// per-edge executor.
@@ -233,8 +240,10 @@ struct WorkerStages {
   double compute_s = 0.0;  ///< main loops (compute_phase / compute_edge)
   double wait_s = 0.0;     ///< ownership tokens + node-read readiness
   double fold_s = 0.0;     ///< second loop only
-  double refresh_s = 0.0;  ///< completed portions: node-read refresh,
-                           ///< X re-zero and readiness publication
+  double refresh_s = 0.0;  ///< completed portions: node-read refresh
+                           ///< and X re-zero (refresh_nodes, or copy +
+                           ///< update_nodes + fill per-edge) plus
+                           ///< readiness publication
 };
 
 /// The native executor's stage recorder.

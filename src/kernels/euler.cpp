@@ -10,6 +10,13 @@ namespace earthred::kernels {
 namespace {
 constexpr std::uint32_t kVel = 0;  // array indices
 constexpr std::uint32_t kPre = 1;
+
+/// The sweep-final relaxation of one state value by its completed
+/// residual, shared by update_nodes and refresh_nodes so both perform the
+/// same operations in the same order.
+inline double relax(double state, double dt, double residual) {
+  return state + dt * residual;
+}
 }  // namespace
 
 EulerKernel::EulerKernel(mesh::Mesh mesh, double dt)
@@ -140,8 +147,35 @@ void EulerKernel::update_nodes(earth::FiberContext& ctx,
     ctx.charge_flops(4);
     ctx.store(tags.node_read[kVel], v);
     ctx.store(tags.node_read[kPre], v);
-    arrays.node_read[kVel][v] += dt_ * arrays.reduction[kVel][i];
-    arrays.node_read[kPre][v] += dt_ * arrays.reduction[kPre][i];
+    arrays.node_read[kVel][v] =
+        relax(arrays.node_read[kVel][v], dt_, arrays.reduction[kVel][i]);
+    arrays.node_read[kPre][v] =
+        relax(arrays.node_read[kPre][v], dt_, arrays.reduction[kPre][i]);
+  }
+}
+
+void EulerKernel::refresh_nodes(earth::FiberContext&, const core::CostTags&,
+                                std::uint32_t begin, std::uint32_t end,
+                                std::span<const double* const> cur,
+                                std::span<double* const> next,
+                                std::span<double* const> x,
+                                bool zero_x) const {
+  // One pass over the portion: read state and residual, write the next
+  // parity, zero the residual — update_nodes' arithmetic through relax().
+  const double dt = dt_;
+  const double* __restrict vel = cur[kVel];
+  const double* __restrict pre = cur[kPre];
+  double* __restrict vel_next = next[kVel];
+  double* __restrict pre_next = next[kPre];
+  double* __restrict dvel = x[kVel];
+  double* __restrict dpre = x[kPre];
+  for (std::uint32_t v = begin; v < end; ++v) {
+    vel_next[v] = relax(vel[v], dt, dvel[v]);
+    pre_next[v] = relax(pre[v], dt, dpre[v]);
+    if (zero_x) {
+      dvel[v] = 0.0;
+      dpre[v] = 0.0;
+    }
   }
 }
 

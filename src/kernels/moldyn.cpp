@@ -8,6 +8,15 @@
 
 namespace earthred::kernels {
 
+namespace {
+/// The sweep-final integration of one position coordinate by its
+/// completed force, shared by update_nodes and refresh_nodes so both
+/// perform the same operations in the same order.
+inline double integrate(double position, double dt, double force) {
+  return position + dt * force;
+}
+}  // namespace
+
 MoldynKernel::MoldynKernel(mesh::Mesh interactions, double dt)
     : mesh_(std::move(interactions)), dt_(dt) {
   mesh_.validate();
@@ -113,7 +122,39 @@ void MoldynKernel::update_nodes(earth::FiberContext& ctx,
       ctx.load(tags.node_read[ra], v);
       ctx.charge_flops(2);
       ctx.store(tags.node_read[ra], v);
-      arrays.node_read[ra][v] += dt_ * arrays.reduction[ra][i];
+      arrays.node_read[ra][v] =
+          integrate(arrays.node_read[ra][v], dt_, arrays.reduction[ra][i]);
+    }
+  }
+}
+
+void MoldynKernel::refresh_nodes(earth::FiberContext&,
+                                 const core::CostTags&, std::uint32_t begin,
+                                 std::uint32_t end,
+                                 std::span<const double* const> cur,
+                                 std::span<double* const> next,
+                                 std::span<double* const> x,
+                                 bool zero_x) const {
+  // One pass over the portion: read position and force, write the next
+  // parity, zero the force — update_nodes' arithmetic through integrate().
+  const double dt = dt_;
+  const double* __restrict px = cur[0];
+  const double* __restrict py = cur[1];
+  const double* __restrict pz = cur[2];
+  double* __restrict px_next = next[0];
+  double* __restrict py_next = next[1];
+  double* __restrict pz_next = next[2];
+  double* __restrict fx = x[0];
+  double* __restrict fy = x[1];
+  double* __restrict fz = x[2];
+  for (std::uint32_t v = begin; v < end; ++v) {
+    px_next[v] = integrate(px[v], dt, fx[v]);
+    py_next[v] = integrate(py[v], dt, fy[v]);
+    pz_next[v] = integrate(pz[v], dt, fz[v]);
+    if (zero_x) {
+      fx[v] = 0.0;
+      fy[v] = 0.0;
+      fz[v] = 0.0;
     }
   }
 }

@@ -39,6 +39,12 @@ class MoldynKernel final : public core::PhasedKernel {
                     std::uint32_t begin, std::uint32_t end,
                     std::uint32_t base,
                     core::ProcArrays& arrays) const override;
+  void refresh_nodes(earth::FiberContext& ctx, const core::CostTags& tags,
+                     std::uint32_t begin, std::uint32_t end,
+                     std::span<const double* const> cur,
+                     std::span<double* const> next,
+                     std::span<double* const> x,
+                     bool zero_x) const override;
 
   const mesh::Mesh& mesh() const noexcept { return mesh_; }
 

@@ -28,3 +28,19 @@ execute_process(COMMAND "${EARTHRED}" version --verbose
 if(rc EQUAL 0 OR NOT err MATCHES "E-CLI-FLAG: unknown flag '--verbose'")
   message(FATAL_ERROR "version accepted a flag (exit ${rc}):\n${err}")
 endif()
+
+# serve --listen has no stdin report, so --json and --quiet are unknown
+# there and must be rejected before anything binds. The timeout kills a
+# listener that binds anyway, so a regression fails here without leaving
+# a server running.
+foreach(flag --json=unused.jsonl --quiet)
+  execute_process(COMMAND "${EARTHRED}" serve --listen=0 --workers=1 ${flag}
+    TIMEOUT 10
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(REGEX REPLACE "=.*" "" name "${flag}")
+  if(rc EQUAL 0 OR NOT err MATCHES
+     "E-CLI-FLAG: unknown flag '${name}' for earthred serve --listen")
+    message(FATAL_ERROR
+            "serve --listen accepted ${flag} (exit ${rc}):\n${err}")
+  endif()
+endforeach()

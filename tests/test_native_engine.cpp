@@ -3,8 +3,13 @@
 // counts, k values and distributions.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/native_engine.hpp"
 #include "core/sequential.hpp"
@@ -16,6 +21,46 @@
 
 namespace earthred::core {
 namespace {
+
+/// Forwards everything except refresh_nodes, so the native executor's
+/// batched path refreshes through PhasedKernel's default.
+class ForwardingKernel final : public PhasedKernel {
+ public:
+  explicit ForwardingKernel(const PhasedKernel& inner) : inner_(inner) {}
+
+  KernelShape shape() const override { return inner_.shape(); }
+  std::uint32_t ref(std::uint32_t r, std::uint64_t edge) const override {
+    return inner_.ref(r, edge);
+  }
+  void init_node_arrays(
+      std::vector<std::vector<double>>& arrays) const override {
+    inner_.init_node_arrays(arrays);
+  }
+  void compute_edge(earth::FiberContext& ctx, const CostTags& tags,
+                    std::uint64_t edge_global, std::uint64_t edge_slot,
+                    std::span<const std::uint32_t> redirected,
+                    ProcArrays& arrays) const override {
+    inner_.compute_edge(ctx, tags, edge_global, edge_slot, redirected,
+                        arrays);
+  }
+  void update_nodes(earth::FiberContext& ctx, const CostTags& tags,
+                    std::uint32_t begin, std::uint32_t end,
+                    std::uint32_t base, ProcArrays& arrays) const override {
+    inner_.update_nodes(ctx, tags, begin, end, base, arrays);
+  }
+  void compute_phase(earth::FiberContext& ctx, const CostTags& tags,
+                     const PhaseView& phase,
+                     ProcArrays& arrays) const override {
+    inner_.compute_phase(ctx, tags, phase, arrays);
+  }
+
+ private:
+  const PhasedKernel& inner_;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 TEST(NativeEngine, Fig1ExactMatchManyConfigs) {
   const auto kernel = kernels::Fig1Kernel::with_integer_values(
@@ -239,6 +284,105 @@ TEST(NativeEngine, ZeroStallTimeoutStillRunsCleanSchedules) {
   const NativeResult r = run_native_engine(kernel, plan_opt, sweep_opt);
   for (std::size_t i = 0; i < seq.reduction[0].size(); ++i)
     ASSERT_EQ(r.reduction[0][i], seq.reduction[0][i]);
+}
+
+TEST(NativeEngine, RefreshOverridesMatchTheDefault) {
+  // Euler's and moldyn's fused refresh_nodes against PhasedKernel's
+  // default (copy, update_nodes, fill) on random state over a mid-array
+  // range: the next parity matches bit for bit inside the range and is
+  // untouched outside it; X is zeroed inside exactly when asked.
+  const kernels::EulerKernel euler(mesh::make_geometric_mesh({300, 1200, 5}));
+  const kernels::MoldynKernel moldyn(
+      mesh::make_geometric_mesh({300, 1200, 6}));
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> value(-4.0, 4.0);
+  const auto random_arrays = [&](std::uint32_t count, std::uint32_t n) {
+    std::vector<std::vector<double>> arrays(count, std::vector<double>(n));
+    for (std::vector<double>& a : arrays)
+      for (double& v : a) v = value(rng);
+    return arrays;
+  };
+  const auto pointers = [](std::vector<std::vector<double>>& arrays) {
+    std::vector<double*> p;
+    for (std::vector<double>& a : arrays) p.push_back(a.data());
+    return p;
+  };
+
+  for (const PhasedKernel* kernel :
+       {static_cast<const PhasedKernel*>(&euler),
+        static_cast<const PhasedKernel*>(&moldyn)}) {
+    const KernelShape s = kernel->shape();
+    const std::uint32_t N = s.num_nodes;
+    const std::uint32_t begin = N / 4 + 3;
+    const std::uint32_t end = 3 * N / 4 - 1;
+    CostTags tags;
+    tags.reduction.resize(s.num_reduction_arrays);
+    tags.node_read.resize(s.num_node_read_arrays);
+    earth::FiberContext ctx = earth::FiberContext::detached();
+
+    for (const bool zero_x : {false, true}) {
+      auto cur = random_arrays(s.num_node_read_arrays, N);
+      const auto x0 = random_arrays(s.num_reduction_arrays, N);
+      const auto next0 = random_arrays(s.num_node_read_arrays, N);
+      std::vector<const double*> cur_p;
+      for (const double* a : pointers(cur)) cur_p.push_back(a);
+
+      auto want_next = next0, got_next = next0;
+      auto want_x = x0, got_x = x0;
+      kernel->PhasedKernel::refresh_nodes(ctx, tags, begin, end, cur_p,
+                                          pointers(want_next),
+                                          pointers(want_x), zero_x);
+      kernel->refresh_nodes(ctx, tags, begin, end, cur_p, pointers(got_next),
+                            pointers(got_x), zero_x);
+
+      for (std::uint32_t a = 0; a < s.num_node_read_arrays; ++a)
+        for (std::uint32_t v = 0; v < N; ++v) {
+          const bool inside = v >= begin && v < end;
+          ASSERT_TRUE(same_bits(got_next[a][v], want_next[a][v]))
+              << "array " << a << " node " << v;
+          if (!inside) {
+            ASSERT_TRUE(same_bits(got_next[a][v], next0[a][v]));
+          }
+        }
+      for (std::uint32_t a = 0; a < s.num_reduction_arrays; ++a)
+        for (std::uint32_t v = 0; v < N; ++v) {
+          const bool inside = v >= begin && v < end;
+          const double expected = inside && zero_x ? 0.0 : x0[a][v];
+          ASSERT_TRUE(same_bits(got_x[a][v], expected))
+              << "array " << a << " node " << v << " zero_x " << zero_x;
+          ASSERT_TRUE(same_bits(want_x[a][v], expected));
+        }
+    }
+  }
+}
+
+TEST(NativeEngine, ForwardingKernelRefreshesThroughTheDefault) {
+  // A wrapper that does not override refresh_nodes runs the batched
+  // executor through PhasedKernel's default refresh; its result must be
+  // bit-identical to the wrapped kernel's fused one.
+  const kernels::EulerKernel euler(mesh::make_geometric_mesh({400, 2000, 9}));
+  const kernels::MoldynKernel moldyn(
+      mesh::make_geometric_mesh({400, 2000, 10}));
+  for (const PhasedKernel* kernel :
+       {static_cast<const PhasedKernel*>(&euler),
+        static_cast<const PhasedKernel*>(&moldyn)}) {
+    const ForwardingKernel wrapper(*kernel);
+    for (const auto dist : {inspector::Distribution::Block,
+                            inspector::Distribution::Cyclic}) {
+      PlanOptions plan_opt;
+      plan_opt.num_procs = 4;
+      plan_opt.k = 2;
+      plan_opt.distribution = dist;
+      const ExecutionPlan plan = build_execution_plan(*kernel, plan_opt);
+      SweepOptions sweep_opt;
+      sweep_opt.sweeps = 5;
+      sweep_opt.batch = true;
+      const NativeResult real = run_native_plan(*kernel, plan, sweep_opt);
+      const NativeResult wrapped = run_native_plan(wrapper, plan, sweep_opt);
+      EXPECT_EQ(real.reduction, wrapped.reduction);
+      EXPECT_EQ(real.node_read, wrapped.node_read);
+    }
+  }
 }
 
 }  // namespace

@@ -38,7 +38,8 @@
 //   earthred serve      (batch mode reading the job list from stdin)
 //   earthred serve      --listen=PORT [--host=H] [--max-conns=N]
 //                        [--max-inflight=N] [--drain-grace=S] plus the
-//                        batch scheduler flags: networked front end
+//                        batch scheduler flags but --json and --quiet
+//                        (E-CLI-FLAG there): networked front end
 //                        speaking the framed binary protocol of
 //                        src/net/wire.hpp; file-referencing jobs
 //                        (mesh=/dsl=) are refused (E-JOB-FILEIO) since
@@ -1080,9 +1081,15 @@ int cmd_ping(const Options& opt) {
   return 0;
 }
 
+std::vector<std::string_view> serve_listen_flags();
+
 int cmd_serve(const Options& opt) {
-  if (opt.has("listen")) return run_netserve(opt);
-  return run_service(std::cin, opt);
+  if (!opt.has("listen")) return run_service(std::cin, opt);
+  // --json and --quiet shape the stdin service's report; the listener
+  // prints its transport table on drain and writes no JSONL, so there
+  // they are unknown flags, rejected before anything binds.
+  opt.reject_unknown("earthred serve --listen", serve_listen_flags());
+  return run_netserve(opt);
 }
 
 // ---- route / fleet: the shard-router fleet front end --------------------
@@ -1313,12 +1320,19 @@ struct Verb {
   Flags flags;  ///< every --flag the verb reads; any other is E-CLI-FLAG
 };
 
+const Flags kScheduler = {"workers",  "queue",   "deadline",
+                          "cache-mb", "no-cache", "plan-store"};
+const Flags kListener = {"listen", "host", "max-conns", "drain-grace"};
+
+/// The flags `serve --listen` reads: serve's, less the stdin report's.
+Flags serve_listen_flags() {
+  return kScheduler + kListener + Flags{"max-inflight"};
+}
+
 const std::vector<Verb>& verbs() {
   const Flags mesh = {"preset", "mesh", "nodes", "edges", "seed"};
   const Flags plan = {"kernel", "procs", "k", "dist"};
-  const Flags scheduler = {"workers",  "queue",      "deadline", "cache-mb",
-                           "no-cache", "plan-store", "json",     "quiet"};
-  const Flags listener = {"listen", "host", "max-conns", "drain-grace"};
+  const Flags scheduler = kScheduler + Flags{"json", "quiet"};
   const Flags client = {"connect", "timeout-ms", "retries"};
   const Flags shards = {"shards", "shard-file"};
   static const std::vector<Verb> table = {
@@ -1334,11 +1348,11 @@ const std::vector<Verb>& verbs() {
       {"compile", cmd_compile, {"file", "optimize", "emit"}},
       {"check", cmd_check, {"file", "explain", "Werror", "json"}},
       {"batch", cmd_batch, scheduler + Flags{"jobs"}},
-      {"serve", cmd_serve, scheduler + listener + Flags{"max-inflight"}},
+      {"serve", cmd_serve, serve_listen_flags() + Flags{"json", "quiet"}},
       {"submit", cmd_submit, client + Flags{"job", "jobs"}},
       {"ping", cmd_ping, client},
       {"route", cmd_route,
-       listener + client + shards + Flags{"shard-inflight", "json"}},
+       kListener + client + shards + Flags{"shard-inflight", "json"}},
       {"fleet", cmd_fleet, client + shards},
       {"plan", cmd_plan, mesh + plan + Flags{"store", "bc", "dedup"}},
       {"version", cmd_version, {}},
